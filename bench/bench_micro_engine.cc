@@ -665,12 +665,17 @@ void RunIngestComparison(bench::JsonBenchWriter* json) {
   DPSTARJ_CHECK(fresh.ok(), "fresh compile");
   auto extended = exec::ScanPlan::ExtendFrom(*old_plan, *bound);
   DPSTARJ_CHECK(extended.ok(), "extend");
-  DPSTARJ_CHECK(extended->codes == fresh->codes &&
-                    extended->weights == fresh->weights &&
-                    extended->run_offsets == fresh->run_offsets &&
-                    extended->sorted_dim_row == fresh->sorted_dim_row &&
-                    extended->sorted_weights == fresh->sorted_weights &&
-                    extended->group_labels == fresh->group_labels,
+  bool same_sorted_rows = true;
+  for (size_t i = 0; i < fresh->dims.size(); ++i) {
+    same_sorted_rows = same_sorted_rows &&
+                       extended->sorted_dim_row(i) == fresh->sorted_dim_row(i);
+  }
+  DPSTARJ_CHECK(extended->codes() == fresh->codes() &&
+                    extended->weights() == fresh->weights() &&
+                    extended->run_offsets() == fresh->run_offsets() &&
+                    same_sorted_rows &&
+                    extended->sorted_weights() == fresh->sorted_weights() &&
+                    extended->group_labels() == fresh->group_labels(),
                 "extended plan diverges from fresh compile");
 
   std::printf("== ingest plan maintenance: QgScan "
@@ -687,12 +692,12 @@ void RunIngestComparison(bench::JsonBenchWriter* json) {
   paths.push_back({"recompile (full table)", [&]() {
                      auto p = exec::ScanPlan::Compile(*bound);
                      DPSTARJ_CHECK(p.ok(), "compile");
-                     benchmark::DoNotOptimize(p->codes.data());
+                     benchmark::DoNotOptimize(p->codes().data());
                    }});
   paths.push_back({"extend (tail splice)", [&]() {
                      auto p = exec::ScanPlan::ExtendFrom(*old_plan, *bound);
                      DPSTARJ_CHECK(p.ok(), "extend");
-                     benchmark::DoNotOptimize(p->codes.data());
+                     benchmark::DoNotOptimize(p->codes().data());
                    }});
 
   double recompile_rows_per_sec = 0.0;

@@ -1,6 +1,5 @@
 #include "core/dp_star_join.h"
 
-#include "exec/naive_executor.h"
 #include "exec/star_join_executor.h"
 
 namespace dpstarj::core {

@@ -1,6 +1,7 @@
 #include "exec/plan_cache.h"
 
 #include <algorithm>
+#include <iterator>
 
 #include "common/string_util.h"
 
@@ -78,9 +79,7 @@ Result<std::shared_ptr<const ScanPlan>> PlanCache::GetOrCompile(
       if (ScanPlan::IsAppendExtension(*cached, q)) {
         append_base = std::move(cached);
       } else {
-        bytes_ -= cached->ApproxBytes();
-        lru_.erase(it->second);
-        index_.erase(it);
+        Drop(it->second);
         ++stats_.invalidations;
         ++stats_.invalidated_identity;
       }
@@ -91,9 +90,12 @@ Result<std::shared_ptr<const ScanPlan>> PlanCache::GetOrCompile(
   // serialize concurrent engines behind the cache mutex.
   std::shared_ptr<const ScanPlan> plan;
   bool extended = false;
+  // With caching disabled nothing is shared either: plans get private
+  // components.
+  ScaffoldInterner* interner = capacity_ == 0 ? nullptr : &interner_;
   if (append_base != nullptr) {
     obs::ScopedStage extend_span(trace, obs::Stage::kPlanExtend);
-    auto ext = ScanPlan::ExtendFrom(*append_base, q);
+    auto ext = ScanPlan::ExtendFrom(*append_base, q, interner);
     if (ext.ok()) {
       plan = std::make_shared<const ScanPlan>(std::move(*ext));
       extended = true;
@@ -103,7 +105,7 @@ Result<std::shared_ptr<const ScanPlan>> PlanCache::GetOrCompile(
   }
   if (!extended) {
     obs::ScopedStage compile_span(trace, obs::Stage::kPlanCompile);
-    DPSTARJ_ASSIGN_OR_RETURN(ScanPlan compiled, ScanPlan::Compile(q));
+    DPSTARJ_ASSIGN_OR_RETURN(ScanPlan compiled, ScanPlan::Compile(q, interner));
     plan = std::make_shared<const ScanPlan>(std::move(compiled));
   }
 
@@ -130,9 +132,7 @@ Result<std::shared_ptr<const ScanPlan>> PlanCache::GetOrCompile(
       return it->second->second;
     }
     const bool replacing_base = it->second->second == append_base;
-    bytes_ -= it->second->second->ApproxBytes();
-    lru_.erase(it->second);
-    index_.erase(it);
+    Drop(it->second);
     if (!replacing_base) {
       // Someone else's entry went stale underneath us (not the append base
       // we deliberately left in place) — account it like any invalidation.
@@ -142,23 +142,55 @@ Result<std::shared_ptr<const ScanPlan>> PlanCache::GetOrCompile(
   }
   lru_.emplace_front(key, plan);
   index_[key] = lru_.begin();
-  bytes_ += plan->ApproxBytes();
-  // Evict by entry count and by scaffold bytes; the most recent entry always
-  // stays so a single oversized plan is still served (it just caches alone).
+  Account(*plan);
+  // Evict by entry count and by unique scaffold bytes; the most recent entry
+  // always stays so a single oversized plan is still served (it just caches
+  // alone). Evicting a plan frees only the components no other cached plan
+  // references.
   while (lru_.size() > 1 &&
          (lru_.size() > capacity_ || bytes_ > max_bytes_)) {
-    bytes_ -= lru_.back().second->ApproxBytes();
-    index_.erase(lru_.back().first);
-    lru_.pop_back();
+    Drop(std::prev(lru_.end()));
     ++stats_.evictions;
   }
   return plan;
+}
+
+void PlanCache::Account(const ScanPlan& plan) {
+  bytes_ += plan.OwnBytes();
+  for (const ScaffoldComponent* c : plan.Components()) {
+    if (component_refs_[c]++ == 0) {
+      const size_t added = c->ApproxBytes();
+      component_bytes_ += added;
+      bytes_ += added;
+    }
+  }
+}
+
+void PlanCache::Unaccount(const ScanPlan& plan) {
+  bytes_ -= plan.OwnBytes();
+  for (const ScaffoldComponent* c : plan.Components()) {
+    auto it = component_refs_.find(c);
+    if (--it->second == 0) {
+      const size_t freed = c->ApproxBytes();
+      component_bytes_ -= freed;
+      bytes_ -= freed;
+      component_refs_.erase(it);
+    }
+  }
+}
+
+void PlanCache::Drop(std::list<Entry>::iterator it) {
+  Unaccount(*it->second);
+  index_.erase(it->first);
+  lru_.erase(it);
 }
 
 void PlanCache::Clear() {
   std::lock_guard<std::mutex> lock(mu_);
   lru_.clear();
   index_.clear();
+  component_refs_.clear();
+  component_bytes_ = 0;
   bytes_ = 0;
 }
 
@@ -173,8 +205,13 @@ size_t PlanCache::bytes() const {
 }
 
 PlanCache::Stats PlanCache::GetStats() const {
+  ScaffoldInterner::Stats components = interner_.GetStats();
   std::lock_guard<std::mutex> lock(mu_);
-  return stats_;
+  Stats out = stats_;
+  out.components_built = components.built;
+  out.components_reused = components.reused;
+  out.component_bytes = component_bytes_;
+  return out;
 }
 
 }  // namespace dpstarj::exec

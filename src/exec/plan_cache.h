@@ -21,6 +21,14 @@
 // entry and recompiles; the two classes are counted separately. The service
 // layer shares one PlanCache across all pool engines (see
 // service/query_service.h).
+//
+// Plans are assembled from shared scaffold components (exec/scaffold.h): the
+// cache owns the intern table, so a miss builds only the components no live
+// plan holds yet — FK resolutions, weights, codes and run-ordered arrays
+// already built for another signature are picked up, not rebuilt. Likewise
+// an append extends each shared component once. The byte budget counts each
+// component once however many cached plans reference it; a component is
+// released when the last plan holding it is evicted.
 
 #pragma once
 
@@ -42,14 +50,13 @@ namespace dpstarj::exec {
 /// \brief Thread-safe canonical-keyed LRU of compiled scan plans.
 class PlanCache {
  public:
-  /// Default entry capacity. Plans hold per-fact-row scaffolds — up to
-  /// ≈ 24 + 8·dims bytes per fact row for grouped SUM queries with run-
-  /// sorted layouts — so eviction is governed by a byte budget as well as
-  /// this entry cap; popular queries dominate hits long before either
+  /// Default entry capacity. Eviction is governed by a byte budget as well
+  /// as this entry cap; popular queries dominate hits long before either
   /// matters.
   static constexpr size_t kDefaultCapacity = 32;
-  /// Default scaffold-byte budget across all cached plans (LRU entries are
-  /// evicted past it; the most recent plan is always kept).
+  /// Default budget for the unique scaffold bytes of all cached plans — each
+  /// shared component counted once (LRU entries are evicted past it; the
+  /// most recent plan is always kept).
   static constexpr size_t kDefaultMaxBytes = size_t{256} << 20;  // 256 MB
 
   /// Hit/miss/invalidation accounting, as returned by GetStats().
@@ -69,6 +76,15 @@ class PlanCache {
     /// the scaffold is salvageable.
     uint64_t invalidated_identity = 0;
     uint64_t evictions = 0;
+    /// Scaffold components built by compiles and extensions (each one a
+    /// fact- or dimension-sized pass no cached plan could supply).
+    uint64_t components_built = 0;
+    /// Component lookups served by a component some other plan already
+    /// holds — the reason a miss or an extension can be cheap.
+    uint64_t components_reused = 0;
+    /// Bytes of the distinct components referenced by cached plans, each
+    /// counted once (a gauge: the component share of bytes()).
+    uint64_t component_bytes = 0;
 
     /// hits / (hits + misses), 0 when empty.
     double HitRate() const {
@@ -85,8 +101,10 @@ class PlanCache {
   /// validated hit when fresh, an incremental extension when only the fact
   /// table grew, and a full compile otherwise. Extension and compilation
   /// both run outside the cache lock; two threads racing on the same cold
-  /// key may both compile, and the later insert wins — wasted work, never
-  /// wrong results.
+  /// key may both compile, and the first insert wins — wasted work, never
+  /// wrong results. Components are looked up in, and published to, the
+  /// cache's intern table; those builds run outside the lock too, and the
+  /// first of two racing builds of one component is the one kept.
   ///
   /// A non-null `trace` gets `plan_cache_hit` set on a validated hit or a
   /// successful extension, the extend span (obs::Stage::kPlanExtend)
@@ -100,7 +118,8 @@ class PlanCache {
 
   /// Current entry count.
   size_t size() const;
-  /// Approximate scaffold bytes currently cached.
+  /// Approximate bytes currently cached: every distinct component once,
+  /// plus each cached plan's own small bookkeeping.
   size_t bytes() const;
   /// Configured capacity.
   size_t capacity() const { return capacity_; }
@@ -111,13 +130,26 @@ class PlanCache {
  private:
   using Entry = std::pair<std::string, std::shared_ptr<const ScanPlan>>;
 
+  // Adds / removes one cached plan's share of bytes_: its own bytes, plus
+  // the bytes of every component it is the first / last cached holder of.
+  void Account(const ScanPlan& plan);
+  void Unaccount(const ScanPlan& plan);
+  // Unlinks `it` from the LRU and the index, and unaccounts its plan.
+  void Drop(std::list<Entry>::iterator it);
+
   mutable std::mutex mu_;
   size_t capacity_;
   size_t max_bytes_;
-  size_t bytes_ = 0;  ///< Σ ApproxBytes() over cached plans
+  size_t bytes_ = 0;            ///< Σ OwnBytes() + component_bytes_
+  size_t component_bytes_ = 0;  ///< Σ bytes over component_refs_' keys
   std::list<Entry> lru_;  ///< front = most recently used
   std::unordered_map<std::string, std::list<Entry>::iterator> index_;
+  /// component → number of cached plans referencing it.
+  std::unordered_map<const ScaffoldComponent*, size_t> component_refs_;
   Stats stats_;
+  /// Components of every plan this cache assembles. It has its own lock,
+  /// never held together with mu_.
+  ScaffoldInterner interner_;
 };
 
 }  // namespace dpstarj::exec

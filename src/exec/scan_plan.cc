@@ -13,6 +13,13 @@ namespace dpstarj::exec {
 
 namespace {
 
+// What an accessor returns for a component the plan does not carry.
+template <typename T>
+const std::vector<T>& EmptyVector() {
+  static const std::vector<T> empty;
+  return empty;
+}
+
 // Raw value of a dimension group-by cell as an exact int64 (doubles keyed by
 // bit pattern, strings by dictionary code) — mirrors the fresh pipeline so
 // distinct combos get distinct ordinals and identical labels merge on render.
@@ -33,29 +40,222 @@ int64_t CellKey(const storage::Column& col, int64_t row) {
   return 0;
 }
 
+// ---- intern keys. Tables are named by identity and row count, input
+// components by identity (their `pins` keep every named address unique).
+
+std::string TableKey(const storage::Table& t, int64_t rows) {
+  return Format("%p#%lld", static_cast<const void*>(&t),
+                static_cast<long long>(rows));
+}
+
+std::string DomainKey(const storage::AttributeDomain& domain) {
+  if (!domain.is_categorical()) {
+    return Format("i%lld,%lld", static_cast<long long>(domain.int_lo()),
+                  static_cast<long long>(domain.int_hi()));
+  }
+  std::string key = "c";
+  for (const auto& v : domain.categories()) {
+    key += Format("%zu:", v.size());
+    key += v;
+  }
+  return key;
+}
+
+std::string FkKey(const query::BoundQuery& q, const query::DimBinding& d,
+                  int64_t fact_rows) {
+  return "fk|" + TableKey(*q.fact, fact_rows) + Format(".%d|", d.fact_fk_col) +
+         TableKey(*d.dim, d.dim->num_rows()) + Format(".%d", d.dim_pk_col);
+}
+
+std::string WeightsKey(const query::BoundQuery& q, int64_t fact_rows) {
+  std::string key = "w|" + TableKey(*q.fact, fact_rows) + "|";
+  for (const auto& [col, coeff] : q.measure_cols) {
+    uint64_t bits;
+    std::memcpy(&bits, &coeff, sizeof(bits));
+    key += Format("%d*%016llx,", col, static_cast<unsigned long long>(bits));
+  }
+  return key;
+}
+
+std::string GroupKey(const storage::Table& dim, const std::vector<int>& cols) {
+  std::string key = "grp|" + TableKey(dim, dim.num_rows()) + "|";
+  for (int c : cols) key += Format("%d,", c);
+  return key;
+}
+
+std::string OrdinalKey(const storage::Table& dim, int col,
+                       const storage::AttributeDomain& domain) {
+  return "ord|" + TableKey(dim, dim.num_rows()) + Format("|%d|", col) +
+         DomainKey(domain);
+}
+
+// Codes (and runs and labels) are a function of the fact rows, the layout's
+// field widths, and each part's source: a dimension part's FK and group
+// components, or a fact column with its packing base.
+std::string CodesKey(const ScanPlan& plan, const query::BoundQuery& q,
+                     int64_t fact_rows) {
+  std::string key = "codes|" + TableKey(*q.fact, fact_rows) + "|";
+  for (int f = 0; f < plan.layout.num_fields(); ++f) {
+    key += Format("m%llx,", static_cast<unsigned long long>(
+                                plan.layout.FieldMask(f)));
+  }
+  for (const auto& part : plan.parts) {
+    if (part.dim_idx >= 0) {
+      const PlanDim& pd = plan.dims[static_cast<size_t>(part.dim_idx)];
+      key += Format("|d%p/%p.%d@%d", static_cast<const void*>(pd.fk.get()),
+                    static_cast<const void*>(pd.group.get()), part.col,
+                    part.field);
+    } else {
+      key += Format("|f%d@%d%c%lld", part.col, part.field,
+                    part.is_string ? 's' : 'i',
+                    static_cast<long long>(part.base));
+    }
+  }
+  return key;
+}
+
+std::string SortedKey(const char* kind, const void* codes,
+                      const void* source) {
+  return Format("%s|%p|%p", kind, codes, source);
+}
+
+// Returns the interned component under `key`, building and publishing it
+// when absent (a racing build that lands first wins); without an interner it
+// just builds a private one.
+template <typename T, typename Build>
+Result<std::shared_ptr<const T>> Intern(ScaffoldInterner* interner,
+                                        const std::string& key,
+                                        Build&& build) {
+  if (interner != nullptr) {
+    if (std::shared_ptr<const T> hit = interner->Lookup<T>(key)) return hit;
+  }
+  DPSTARJ_ASSIGN_OR_RETURN(std::shared_ptr<const T> built, build());
+  if (interner != nullptr) return interner->Insert<T>(key, std::move(built));
+  return built;
+}
+
+// ---- component builders. Each takes an optional `base` — the same
+// component over the fact table's first rows — and then only fills the
+// appended tail, producing the array a full build over all rows would.
+
+Result<std::shared_ptr<const OrdinalTable>> BuildOrdinalTable(
+    const std::shared_ptr<storage::Table>& dim, int col,
+    const storage::AttributeDomain& domain) {
+  auto t = std::make_shared<OrdinalTable>();
+  t->pins = {dim};
+  t->column_index = col;
+  t->domain = domain;
+  DPSTARJ_ASSIGN_OR_RETURN(t->ordinals,
+                           ComputeDomainIndexes(dim->column(col), domain));
+  return std::shared_ptr<const OrdinalTable>(std::move(t));
+}
+
+// Group ordinals over *all* rows, first-occurrence order.
+Result<std::shared_ptr<const GroupOrdinals>> BuildGroupOrdinals(
+    const std::shared_ptr<storage::Table>& dim, const std::vector<int>& cols) {
+  auto g = std::make_shared<GroupOrdinals>();
+  g->pins = {dim};
+  const size_t rows = static_cast<size_t>(dim->num_rows());
+  g->group_ordinal.resize(rows);
+  std::map<std::vector<int64_t>, int32_t> ordinal_of;
+  std::vector<int64_t> combo(cols.size());
+  for (size_t r = 0; r < rows; ++r) {
+    for (size_t c = 0; c < cols.size(); ++c) {
+      combo[c] = CellKey(dim->column(cols[c]), static_cast<int64_t>(r));
+    }
+    auto [it, inserted] =
+        ordinal_of.emplace(combo, static_cast<int32_t>(g->rep_rows.size()));
+    if (inserted) g->rep_rows.push_back(static_cast<int64_t>(r));
+    g->group_ordinal[r] = it->second;
+  }
+  return std::shared_ptr<const GroupOrdinals>(std::move(g));
+}
+
+// FK→row resolution for every fact row (the expensive probe, paid once).
+Result<std::shared_ptr<const FkRowsComponent>> BuildFkRows(
+    const query::BoundQuery& q, const query::DimBinding& d,
+    const FkRowsComponent* base, int64_t end) {
+  const auto& keys = d.dim->column(d.dim_pk_col).int64_data();
+  std::vector<int32_t> row_payload(keys.size());
+  for (size_t r = 0; r < keys.size(); ++r) {
+    row_payload[r] = static_cast<int32_t>(r);
+  }
+  auto built = KeyIndex::Build(keys, row_payload);
+  if (!built.ok()) {
+    return Status::InvalidArgument(
+        Format("duplicate primary key in dimension '%s': %s", d.table.c_str(),
+               built.status().message().c_str()));
+  }
+  const KeyIndex index = std::move(*built);
+  auto fk = std::make_shared<FkRowsComponent>();
+  fk->pins = {q.fact, d.dim};
+  int64_t begin = 0;
+  if (base != nullptr) {
+    fk->rows = base->rows;
+    fk->has_absent_fk = base->has_absent_fk;
+    begin = static_cast<int64_t>(base->rows.size());
+  }
+  const int64_t* keys_of_row = q.fact->column(d.fact_fk_col).int64_data().data();
+  fk->rows.resize(static_cast<size_t>(end));
+  const int32_t sentinel = static_cast<int32_t>(keys.size());
+  for (int64_t r = begin; r < end; ++r) {
+    int32_t dr = index.Lookup(keys_of_row[r]);
+    if (dr == KeyIndex::kAbsent) {
+      dr = sentinel;
+      fk->has_absent_fk = true;
+    }
+    fk->rows[static_cast<size_t>(r)] = dr;
+  }
+  return std::shared_ptr<const FkRowsComponent>(std::move(fk));
+}
+
+// Per-row aggregate weights (fact measures are predicate-independent).
+// Accumulation order per row is measure columns outer, rows inner, so an
+// extended tail's sums associate exactly like a full build's.
+Result<std::shared_ptr<const WeightsComponent>> BuildWeights(
+    const query::BoundQuery& q, const WeightsComponent* base, int64_t end) {
+  auto w = std::make_shared<WeightsComponent>();
+  w->pins = {q.fact};
+  int64_t begin = 0;
+  if (base != nullptr) {
+    w->weights = base->weights;
+    begin = static_cast<int64_t>(base->weights.size());
+  }
+  w->weights.resize(static_cast<size_t>(end), 0.0);
+  for (const auto& [col, coeff] : q.measure_cols) {
+    storage::Column::NumericView view = q.fact->column(col).numeric_view();
+    const double c = coeff;
+    for (int64_t r = begin; r < end; ++r) {
+      w->weights[static_cast<size_t>(r)] += c * view[r];
+    }
+  }
+  return std::shared_ptr<const WeightsComponent>(std::move(w));
+}
+
 // (Re)renders the label of every code whose run is non-empty, merging codes
-// that render identically — shared by Compile and ExtendFrom so the extended
-// plan's label table is the fresh compile's by construction. A group-bearing
+// that render identically — shared by full and extending builds so an
+// extended label table is the fresh one by construction. A group-bearing
 // dimension with zero rows means no fact row can ever pass (all FKs resolve
 // to its sentinel), so nothing is renderable — and its empty rep_rows must
 // not be indexed.
-void RenderRunLabels(ScanPlan& plan, const query::BoundQuery& q) {
-  const int64_t space = static_cast<int64_t>(plan.run_offsets.size()) - 1;
+void RenderRunLabels(const ScanPlan& plan, const query::BoundQuery& q,
+                     CodesComponent& out) {
+  const int64_t space = static_cast<int64_t>(out.run_offsets.size()) - 1;
   bool renderable = true;
   for (const auto& part : plan.parts) {
     if (part.dim_idx >= 0 &&
-        plan.dims[static_cast<size_t>(part.dim_idx)].rep_rows.empty()) {
+        plan.dims[static_cast<size_t>(part.dim_idx)].rep_rows().empty()) {
       renderable = false;
       break;
     }
   }
-  plan.group_labels.clear();
-  plan.label_of_code.assign(static_cast<size_t>(space), -1);
+  out.group_labels.clear();
+  out.label_of_code.assign(static_cast<size_t>(space), -1);
   std::map<std::string, std::vector<int64_t>> codes_of_label;
   std::string label;
   for (int64_t code = 0; renderable && code < space; ++code) {
-    if (plan.run_offsets[static_cast<size_t>(code)] ==
-        plan.run_offsets[static_cast<size_t>(code) + 1]) {
+    if (out.run_offsets[static_cast<size_t>(code)] ==
+        out.run_offsets[static_cast<size_t>(code) + 1]) {
       continue;
     }
     label.clear();
@@ -67,7 +267,7 @@ void RenderRunLabels(ScanPlan& plan, const query::BoundQuery& q) {
         const PlanDim& pd = plan.dims[static_cast<size_t>(part.dim_idx)];
         const query::DimBinding& d = q.dims[static_cast<size_t>(part.dim_idx)];
         label += d.dim->column(part.col)
-                     .GetValue(pd.rep_rows[ordinal])
+                     .GetValue(pd.rep_rows()[ordinal])
                      .ToString();
       } else if (part.is_string) {
         label += q.fact->column(part.col).dictionary()->At(
@@ -78,19 +278,241 @@ void RenderRunLabels(ScanPlan& plan, const query::BoundQuery& q) {
     }
     codes_of_label[label].push_back(code);
   }
-  plan.group_labels.reserve(codes_of_label.size());
+  out.group_labels.reserve(codes_of_label.size());
   for (auto& [label_key, code_list] : codes_of_label) {
-    const int32_t slot = static_cast<int32_t>(plan.group_labels.size());
-    plan.group_labels.push_back(label_key);
+    const int32_t slot = static_cast<int32_t>(out.group_labels.size());
+    out.group_labels.push_back(label_key);
     for (int64_t code : code_list) {
-      plan.label_of_code[static_cast<size_t>(code)] = slot;
+      out.label_of_code[static_cast<size_t>(code)] = slot;
     }
+  }
+}
+
+// Group codes of every fact row, plus the counting-sort run offsets and the
+// label table when the code space fits the dense accumulator. The plan's
+// layout, parts and dimension FK/group components must already be set.
+Result<std::shared_ptr<const CodesComponent>> BuildCodes(
+    const ScanPlan& plan, const query::BoundQuery& q,
+    const CodesComponent* base) {
+  auto out = std::make_shared<CodesComponent>();
+  out->pins.push_back(q.fact);
+  for (const PlanDim& pd : plan.dims) {
+    if (pd.field < 0) continue;
+    out->pins.push_back(pd.fk);
+    out->pins.push_back(pd.group);
+  }
+  int64_t begin = 0;
+  if (base != nullptr) {
+    out->codes = base->codes;
+    begin = static_cast<int64_t>(base->codes.size());
+  }
+  const int64_t end = plan.fact_rows();
+
+  // Pack the complete group code of every (tail) fact row: dimension ordinal
+  // fields (via the resolved row, 0 for absent FKs — such rows never pass)
+  // plus fact-side key fields.
+  out->codes.resize(static_cast<size_t>(end), 0);
+  for (const PlanDim& pd : plan.dims) {
+    if (pd.field < 0) continue;
+    const int32_t* rows = pd.fk->rows.data();
+    const int32_t* ordinals = pd.group->group_ordinal.data();
+    const int32_t sentinel = pd.num_rows;
+    for (int64_t r = begin; r < end; ++r) {
+      int32_t dr = rows[r];
+      if (dr == sentinel) continue;
+      out->codes[static_cast<size_t>(r)] |=
+          plan.layout.Pack(pd.field, static_cast<uint64_t>(ordinals[dr]));
+    }
+  }
+  for (const auto& part : plan.parts) {
+    if (part.dim_idx >= 0) continue;
+    const storage::Column& c = q.fact->column(part.col);
+    if (part.is_string) {
+      const int32_t* code = c.code_data().data();
+      for (int64_t r = begin; r < end; ++r) {
+        out->codes[static_cast<size_t>(r)] |=
+            plan.layout.Pack(part.field, static_cast<uint64_t>(code[r]));
+      }
+    } else {
+      const int64_t* i64 = c.int64_data().data();
+      for (int64_t r = begin; r < end; ++r) {
+        out->codes[static_cast<size_t>(r)] |= plan.layout.Pack(
+            part.field, static_cast<uint64_t>(i64[r] - part.base));
+      }
+    }
+  }
+  if (!plan.has_sorted_runs) {
+    return std::shared_ptr<const CodesComponent>(std::move(out));
+  }
+
+  // Run offsets of a stable counting sort by code. Extending: each code's
+  // run grows by its tail count, and the label table only changes when the
+  // tail populates a run that was empty (the table depends only on the set
+  // of non-empty runs).
+  const size_t space = static_cast<size_t>(*plan.code_space);
+  std::vector<int64_t> count(space, 0);
+  for (int64_t r = begin; r < end; ++r) {
+    ++count[static_cast<size_t>(out->codes[static_cast<size_t>(r)])];
+  }
+  bool populates_empty_run = base == nullptr;
+  out->run_offsets.assign(space + 1, 0);
+  for (size_t c = 0; c < space; ++c) {
+    int64_t old_len = 0;
+    if (base != nullptr) {
+      old_len = base->run_offsets[c + 1] - base->run_offsets[c];
+      if (old_len == 0 && count[c] > 0) populates_empty_run = true;
+    }
+    out->run_offsets[c + 1] = out->run_offsets[c] + old_len + count[c];
+  }
+  if (populates_empty_run) {
+    RenderRunLabels(plan, q, *out);
+  } else {
+    out->group_labels = base->group_labels;
+    out->label_of_code = base->label_of_code;
+  }
+  return std::shared_ptr<const CodesComponent>(std::move(out));
+}
+
+// One run-ordered array to build: `src` is the per-fact-row source over all
+// rows, `old` (extension only) the run-ordered array over the compiled rows.
+template <typename T>
+struct SortJob {
+  const std::vector<T>* src = nullptr;
+  const std::vector<T>* old = nullptr;
+  std::shared_ptr<SortedColumn<T>> out;
+};
+
+// Builds every missing run-ordered array in one fused pass over the rows.
+//
+// Full build: a stable counting-sort scatter through per-code cursors.
+// Extension: each code's new run is its old run (rows already in scan
+// order) followed by its tail rows in scan order — exactly what a fresh
+// stable counting sort over all rows produces, since every tail row index
+// exceeds every compiled row index. The tail is counting-sorted on its own,
+// so the merge emits every element exactly once, strictly in run order.
+void FillSorted(const CodesComponent& codes, const CodesComponent* base,
+                std::vector<SortJob<int32_t>>& rows,
+                std::vector<SortJob<double>>& weights) {
+  if (rows.empty() && weights.empty()) return;
+  const size_t space = codes.run_offsets.size() - 1;
+  const int64_t n = static_cast<int64_t>(codes.codes.size());
+  auto reserve = [n](auto& jobs) {
+    for (auto& job : jobs) {
+      if (job.old == nullptr) {
+        job.out->values.resize(static_cast<size_t>(n));
+      } else {
+        job.out->values.reserve(static_cast<size_t>(n));
+      }
+    }
+  };
+  reserve(rows);
+  reserve(weights);
+  if (base == nullptr) {
+    std::vector<int64_t> cursor(codes.run_offsets.begin(),
+                                codes.run_offsets.end() - 1);
+    for (int64_t r = 0; r < n; ++r) {
+      const size_t pos = static_cast<size_t>(
+          cursor[static_cast<size_t>(codes.codes[static_cast<size_t>(r)])]++);
+      for (auto& job : rows) {
+        job.out->values[pos] = (*job.src)[static_cast<size_t>(r)];
+      }
+      for (auto& job : weights) {
+        job.out->values[pos] = (*job.src)[static_cast<size_t>(r)];
+      }
+    }
+    return;
+  }
+  const int64_t old_rows = static_cast<int64_t>(base->codes.size());
+  std::vector<int64_t> tail_begin(space + 1, 0);
+  for (int64_t r = old_rows; r < n; ++r) {
+    ++tail_begin[static_cast<size_t>(codes.codes[static_cast<size_t>(r)]) + 1];
+  }
+  for (size_t c = 0; c < space; ++c) tail_begin[c + 1] += tail_begin[c];
+  std::vector<int64_t> tail_sorted(static_cast<size_t>(n - old_rows));
+  {
+    std::vector<int64_t> cursor(tail_begin.begin(), tail_begin.end() - 1);
+    for (int64_t r = old_rows; r < n; ++r) {
+      const size_t code =
+          static_cast<size_t>(codes.codes[static_cast<size_t>(r)]);
+      tail_sorted[static_cast<size_t>(cursor[code]++)] = r;
+    }
+  }
+  auto merge_run = [&](auto& jobs, size_t c) {
+    const int64_t old_begin = base->run_offsets[c];
+    const int64_t old_end = base->run_offsets[c + 1];
+    for (auto& job : jobs) {
+      auto& v = job.out->values;
+      v.insert(v.end(), job.old->begin() + old_begin,
+               job.old->begin() + old_end);
+      for (int64_t t = tail_begin[c]; t < tail_begin[c + 1]; ++t) {
+        v.push_back(
+            (*job.src)[static_cast<size_t>(tail_sorted[static_cast<size_t>(t)])]);
+      }
+    }
+  };
+  for (size_t c = 0; c < space; ++c) {
+    merge_run(rows, c);
+    merge_run(weights, c);
   }
 }
 
 }  // namespace
 
-Result<ScanPlan> ScanPlan::Compile(const query::BoundQuery& q) {
+// Assembles the run-ordered components of a plan whose codes, FK and weights
+// components are set: interned ones are looked up, the missing ones built in
+// one fused pass (extending `old`'s arrays when given) and then published.
+void ScanPlan::AssembleSorted(const ScanPlan* old, ScaffoldInterner* interner) {
+  std::vector<SortJob<int32_t>> row_jobs;
+  std::vector<std::string> row_keys;
+  std::vector<size_t> row_dims;
+  for (size_t i = 0; i < dims.size(); ++i) {
+    PlanDim& pd = dims[i];
+    std::string key = SortedKey("srows", codes_.get(), pd.fk.get());
+    if (interner != nullptr) pd.sorted = interner->Lookup<SortedRows>(key);
+    if (pd.sorted != nullptr) continue;
+    SortJob<int32_t> job;
+    job.src = &pd.fk->rows;
+    if (old != nullptr) job.old = &old->dims[i].sorted->values;
+    job.out = std::make_shared<SortedRows>();
+    job.out->pins = {codes_, pd.fk};
+    row_jobs.push_back(std::move(job));
+    row_keys.push_back(std::move(key));
+    row_dims.push_back(i);
+  }
+  std::vector<SortJob<double>> weight_jobs;
+  std::string weights_key;
+  if (weights_ != nullptr) {
+    weights_key = SortedKey("sweights", codes_.get(), weights_.get());
+    if (interner != nullptr) {
+      sorted_weights_ = interner->Lookup<SortedWeights>(weights_key);
+    }
+    if (sorted_weights_ == nullptr) {
+      SortJob<double> job;
+      job.src = &weights_->weights;
+      if (old != nullptr) job.old = &old->sorted_weights_->values;
+      job.out = std::make_shared<SortedWeights>();
+      job.out->pins = {codes_, weights_};
+      weight_jobs.push_back(std::move(job));
+    }
+  }
+  FillSorted(*codes_, old != nullptr ? old->codes_.get() : nullptr, row_jobs,
+             weight_jobs);
+  for (size_t j = 0; j < row_jobs.size(); ++j) {
+    std::shared_ptr<const SortedRows> built = std::move(row_jobs[j].out);
+    dims[row_dims[j]].sorted =
+        interner != nullptr ? interner->Insert(row_keys[j], std::move(built))
+                            : std::move(built);
+  }
+  if (!weight_jobs.empty()) {
+    std::shared_ptr<const SortedWeights> built = std::move(weight_jobs[0].out);
+    sorted_weights_ = interner != nullptr
+                          ? interner->Insert(weights_key, std::move(built))
+                          : std::move(built);
+  }
+}
+
+Result<ScanPlan> ScanPlan::Compile(const query::BoundQuery& q,
+                                   ScaffoldInterner* interner) {
   ScanPlan plan;
   plan.fact_ = q.fact;
   plan.fact_rows_ = q.fact->num_rows();
@@ -146,12 +568,10 @@ Result<ScanPlan> ScanPlan::Compile(const query::BoundQuery& q) {
 
   // ---- per-dimension scaffolds.
   plan.dims.resize(q.dims.size());
-  plan.fact_dim_row.resize(q.dims.size());
   for (size_t i = 0; i < q.dims.size(); ++i) {
     const query::DimBinding& d = q.dims[i];
     PlanDim& pd = plan.dims[i];
-    const auto& keys = d.dim->column(d.dim_pk_col).int64_data();
-    pd.num_rows = static_cast<int32_t>(keys.size());
+    pd.num_rows = static_cast<int32_t>(d.dim->num_rows());
 
     // Memoized domain-ordinal tables for the query's own predicate columns.
     for (const auto& pred : d.predicates) {
@@ -161,65 +581,38 @@ Result<ScanPlan> ScanPlan::Compile(const query::BoundQuery& q) {
       }
       bool have = false;
       for (const auto& t : pd.ordinal_tables) {
-        if (t.column_index == pred.column_index && t.domain == pred.domain) {
+        if (t->column_index == pred.column_index && t->domain == pred.domain) {
           have = true;
           break;
         }
       }
       if (have) continue;
-      PlanDim::OrdinalTable table;
-      table.column_index = pred.column_index;
-      table.domain = pred.domain;
       DPSTARJ_ASSIGN_OR_RETURN(
-          table.ordinals,
-          ComputeDomainIndexes(d.dim->column(pred.column_index), pred.domain));
+          std::shared_ptr<const OrdinalTable> table,
+          Intern<OrdinalTable>(
+              interner, OrdinalKey(*d.dim, pred.column_index, pred.domain),
+              [&] {
+                return BuildOrdinalTable(d.dim, pred.column_index,
+                                         pred.domain);
+              }));
       pd.ordinal_tables.push_back(std::move(table));
     }
 
-    // Group ordinals over *all* rows, first-occurrence order.
     const std::vector<int>& group_cols = dim_group_cols[i];
     if (!group_cols.empty()) {
-      pd.group_ordinal.resize(keys.size());
-      std::map<std::vector<int64_t>, int32_t> ordinal_of;
-      std::vector<int64_t> combo(group_cols.size());
-      for (size_t r = 0; r < keys.size(); ++r) {
-        for (size_t c = 0; c < group_cols.size(); ++c) {
-          combo[c] =
-              CellKey(d.dim->column(group_cols[c]), static_cast<int64_t>(r));
-        }
-        auto [it, inserted] = ordinal_of.emplace(
-            combo, static_cast<int32_t>(pd.rep_rows.size()));
-        if (inserted) pd.rep_rows.push_back(static_cast<int64_t>(r));
-        pd.group_ordinal[r] = it->second;
-      }
-      pd.field =
-          plan.layout.AddField(std::max<uint64_t>(pd.rep_rows.size(), 1));
+      DPSTARJ_ASSIGN_OR_RETURN(
+          pd.group,
+          Intern<GroupOrdinals>(interner, GroupKey(*d.dim, group_cols), [&] {
+            return BuildGroupOrdinals(d.dim, group_cols);
+          }));
+      pd.field = plan.layout.AddField(
+          std::max<uint64_t>(pd.group->rep_rows.size(), 1));
     }
 
-    // FK→row resolution for every fact row (the expensive probe, paid once).
-    std::vector<int32_t> row_payload(keys.size());
-    for (size_t r = 0; r < keys.size(); ++r) {
-      row_payload[r] = static_cast<int32_t>(r);
-    }
-    auto built = KeyIndex::Build(keys, row_payload);
-    if (!built.ok()) {
-      return Status::InvalidArgument(
-          Format("duplicate primary key in dimension '%s': %s", d.table.c_str(),
-                 built.status().message().c_str()));
-    }
-    const KeyIndex index = std::move(*built);
-    const int64_t* fk = q.fact->column(d.fact_fk_col).int64_data().data();
-    std::vector<int32_t>& rows = plan.fact_dim_row[i];
-    rows.resize(static_cast<size_t>(plan.fact_rows_));
-    const int32_t sentinel = pd.num_rows;
-    for (int64_t r = 0; r < plan.fact_rows_; ++r) {
-      int32_t dr = index.Lookup(fk[r]);
-      if (dr == KeyIndex::kAbsent) {
-        dr = sentinel;
-        pd.has_absent_fk = true;
-      }
-      rows[static_cast<size_t>(r)] = dr;
-    }
+    DPSTARJ_ASSIGN_OR_RETURN(
+        pd.fk, Intern<FkRowsComponent>(
+                   interner, FkKey(q, d, plan.fact_rows_),
+                   [&] { return BuildFkRows(q, d, nullptr, plan.fact_rows_); }));
   }
 
   if (plan.grouped) {
@@ -230,105 +623,33 @@ Result<ScanPlan> ScanPlan::Compile(const query::BoundQuery& q) {
     }
     if (!plan.layout.Fits()) {
       // Scalar execution re-derives everything from the query; drop the
-      // scaffolds already built so the cached plan is just identity fields.
+      // scaffolds already referenced so the plan is just identity fields.
       plan.requires_scalar_ = true;
       plan.dims.clear();
       plan.dims.shrink_to_fit();
-      plan.fact_dim_row.clear();
-      plan.fact_dim_row.shrink_to_fit();
       plan.parts.clear();
       return plan;
     }
     plan.code_space = plan.layout.CodeSpace();
-
-    // Pre-pack the complete group code of every fact row: dimension ordinal
-    // fields (via the resolved row, 0 for absent FKs — such rows never pass)
-    // plus fact-side key fields.
-    plan.codes.assign(static_cast<size_t>(plan.fact_rows_), 0);
-    for (size_t i = 0; i < plan.dims.size(); ++i) {
-      const PlanDim& pd = plan.dims[i];
-      if (pd.field < 0) continue;
-      const int32_t* rows = plan.fact_dim_row[i].data();
-      const int32_t* ordinals = pd.group_ordinal.data();
-      const int32_t sentinel = pd.num_rows;
-      for (int64_t r = 0; r < plan.fact_rows_; ++r) {
-        int32_t dr = rows[r];
-        if (dr == sentinel) continue;
-        plan.codes[static_cast<size_t>(r)] |= plan.layout.Pack(
-            pd.field, static_cast<uint64_t>(ordinals[dr]));
-      }
-    }
-    for (const auto& part : plan.parts) {
-      if (part.dim_idx >= 0) continue;
-      const storage::Column& c = q.fact->column(part.col);
-      if (part.is_string) {
-        const int32_t* code = c.code_data().data();
-        for (int64_t r = 0; r < plan.fact_rows_; ++r) {
-          plan.codes[static_cast<size_t>(r)] |=
-              plan.layout.Pack(part.field, static_cast<uint64_t>(code[r]));
-        }
-      } else {
-        const int64_t* i64 = c.int64_data().data();
-        for (int64_t r = 0; r < plan.fact_rows_; ++r) {
-          plan.codes[static_cast<size_t>(r)] |= plan.layout.Pack(
-              part.field, static_cast<uint64_t>(i64[r] - part.base));
-        }
-      }
-    }
+    // Run-sorted layout for dense code spaces: stable counting sort of fact
+    // rows by group code, so warm executions aggregate each group in one
+    // sequential sweep.
+    plan.has_sorted_runs = plan.code_space.has_value() &&
+                           *plan.code_space <= GroupAccumulator::kDenseLimit;
+    DPSTARJ_ASSIGN_OR_RETURN(
+        plan.codes_,
+        Intern<CodesComponent>(interner, CodesKey(plan, q, plan.fact_rows_),
+                               [&] { return BuildCodes(plan, q, nullptr); }));
   }
 
-  // Per-row aggregate weights (fact measures are predicate-independent).
   if (!q.measure_cols.empty()) {
-    plan.weights.assign(static_cast<size_t>(plan.fact_rows_), 0.0);
-    for (const auto& [col, coeff] : q.measure_cols) {
-      storage::Column::NumericView view = q.fact->column(col).numeric_view();
-      const double c = coeff;
-      for (int64_t r = 0; r < plan.fact_rows_; ++r) {
-        plan.weights[static_cast<size_t>(r)] += c * view[r];
-      }
-    }
+    DPSTARJ_ASSIGN_OR_RETURN(
+        plan.weights_,
+        Intern<WeightsComponent>(interner, WeightsKey(q, plan.fact_rows_),
+                                 [&] { return BuildWeights(q, nullptr, plan.fact_rows_); }));
   }
 
-  // Run-sorted layout for dense code spaces: stable counting sort of fact
-  // rows by group code, so warm executions aggregate each group in one
-  // sequential sweep.
-  if (plan.grouped && plan.code_space.has_value() &&
-      *plan.code_space <= GroupAccumulator::kDenseLimit) {
-    const int64_t space = static_cast<int64_t>(*plan.code_space);
-    plan.run_offsets.assign(static_cast<size_t>(space) + 1, 0);
-    for (int64_t r = 0; r < plan.fact_rows_; ++r) {
-      ++plan.run_offsets[static_cast<size_t>(plan.codes[static_cast<size_t>(r)]) + 1];
-    }
-    for (int64_t c = 0; c < space; ++c) {
-      plan.run_offsets[static_cast<size_t>(c) + 1] +=
-          plan.run_offsets[static_cast<size_t>(c)];
-    }
-    std::vector<int64_t> cursor(plan.run_offsets.begin(),
-                                plan.run_offsets.end() - 1);
-    plan.sorted_dim_row.resize(plan.dims.size());
-    for (auto& v : plan.sorted_dim_row) {
-      v.resize(static_cast<size_t>(plan.fact_rows_));
-    }
-    if (!plan.weights.empty()) {
-      plan.sorted_weights.resize(static_cast<size_t>(plan.fact_rows_));
-    }
-    for (int64_t r = 0; r < plan.fact_rows_; ++r) {
-      const int64_t pos = cursor[static_cast<size_t>(plan.codes[static_cast<size_t>(r)])]++;
-      for (size_t i = 0; i < plan.dims.size(); ++i) {
-        plan.sorted_dim_row[i][static_cast<size_t>(pos)] =
-            plan.fact_dim_row[i][static_cast<size_t>(r)];
-      }
-      if (!plan.weights.empty()) {
-        plan.sorted_weights[static_cast<size_t>(pos)] =
-            plan.weights[static_cast<size_t>(r)];
-      }
-    }
-
-    // Pre-render the label of every code that can ever produce a group (its
-    // run is non-empty), merging codes that render identically.
-    RenderRunLabels(plan, q);
-    plan.has_sorted_runs = true;
-  }
+  if (plan.has_sorted_runs) plan.AssembleSorted(nullptr, interner);
   return plan;
 }
 
@@ -347,7 +668,8 @@ bool ScanPlan::IsAppendExtension(const ScanPlan& old,
 }
 
 Result<ScanPlan> ScanPlan::ExtendFrom(const ScanPlan& old,
-                                      const query::BoundQuery& q) {
+                                      const query::BoundQuery& q,
+                                      ScaffoldInterner* interner) {
   if (!IsAppendExtension(old, q)) {
     return Status::NotSupported(
         "plan extension requires the compiled tables with only fact growth");
@@ -360,7 +682,7 @@ Result<ScanPlan> ScanPlan::ExtendFrom(const ScanPlan& old,
   const int64_t new_rows = q.fact->num_rows();
 
   // Validate the tail's fact-side group keys against the compiled layout
-  // BEFORE copying anything: Pack() does not mask, so an ordinal outgrowing
+  // BEFORE building anything: Pack() does not mask, so an ordinal outgrowing
   // its field would corrupt neighbouring fields. A violation (a value below
   // the compiled base, or a value/dictionary code past the field's bit
   // width) means a fresh compile would lay the code out differently — the
@@ -389,11 +711,10 @@ Result<ScanPlan> ScanPlan::ExtendFrom(const ScanPlan& old,
     }
   }
 
-  // Copy only what the extension keeps: the identity fields and the unsorted
-  // scaffold it extends in place. The run-sorted arrays and the label table
-  // are rebuilt below (or stay empty when `old` carries none) — copying them
-  // from `old` just to overwrite them roughly doubles the cost of the very
-  // recompile this function exists to avoid.
+  // The layout and every dimension-sized component (group ordinals, ordinal
+  // tables) carry over; the per-fact-row components are extended over the
+  // tail — or, when another plan already extended the same component for
+  // this append, picked up from the interner.
   ScanPlan plan;
   plan.fact_ = old.fact_;
   plan.fact_rows_ = new_rows;
@@ -401,201 +722,106 @@ Result<ScanPlan> ScanPlan::ExtendFrom(const ScanPlan& old,
   plan.dim_rows_ = old.dim_rows_;
   plan.measure_cols_ = old.measure_cols_;
   plan.group_key_layout_ = old.group_key_layout_;
-  plan.requires_scalar_ = old.requires_scalar_;
   plan.grouped = old.grouped;
   plan.layout = old.layout;
   plan.parts = old.parts;
   plan.code_space = old.code_space;
-  plan.dims = old.dims;
-  plan.fact_dim_row = old.fact_dim_row;
-  plan.codes = old.codes;
-  plan.weights = old.weights;
   plan.has_sorted_runs = old.has_sorted_runs;
-
-  // FK→row resolution for the tail only. The dimensions are unchanged, so
-  // the rebuilt per-dimension index answers exactly as it did at compile
-  // time (dimension indexes are small; the saved work is the fact scan).
+  plan.dims.resize(old.dims.size());
   for (size_t i = 0; i < q.dims.size(); ++i) {
     const query::DimBinding& d = q.dims[i];
+    const PlanDim& from = old.dims[i];
     PlanDim& pd = plan.dims[i];
-    const auto& keys = d.dim->column(d.dim_pk_col).int64_data();
-    std::vector<int32_t> row_payload(keys.size());
-    for (size_t r = 0; r < keys.size(); ++r) {
-      row_payload[r] = static_cast<int32_t>(r);
-    }
-    auto built = KeyIndex::Build(keys, row_payload);
-    if (!built.ok()) return built.status();
-    const KeyIndex index = std::move(*built);
-    const int64_t* fk = q.fact->column(d.fact_fk_col).int64_data().data();
-    std::vector<int32_t>& rows = plan.fact_dim_row[i];
-    rows.resize(static_cast<size_t>(new_rows));
-    const int32_t sentinel = pd.num_rows;
-    for (int64_t r = old_rows; r < new_rows; ++r) {
-      int32_t dr = index.Lookup(fk[r]);
-      if (dr == KeyIndex::kAbsent) {
-        dr = sentinel;
-        pd.has_absent_fk = true;
-      }
-      rows[static_cast<size_t>(r)] = dr;
-    }
+    pd.num_rows = from.num_rows;
+    pd.field = from.field;
+    pd.group = from.group;
+    pd.ordinal_tables = from.ordinal_tables;
+    DPSTARJ_ASSIGN_OR_RETURN(
+        pd.fk, Intern<FkRowsComponent>(
+                   interner, FkKey(q, d, new_rows),
+                   [&] { return BuildFkRows(q, d, from.fk.get(), new_rows); }));
   }
-
-  // Tail group codes, packed with the compiled layout (validated above).
   if (plan.grouped) {
-    plan.codes.resize(static_cast<size_t>(new_rows), 0);
-    for (size_t i = 0; i < plan.dims.size(); ++i) {
-      const PlanDim& pd = plan.dims[i];
-      if (pd.field < 0) continue;
-      const int32_t* rows = plan.fact_dim_row[i].data();
-      const int32_t* ordinals = pd.group_ordinal.data();
-      const int32_t sentinel = pd.num_rows;
-      for (int64_t r = old_rows; r < new_rows; ++r) {
-        int32_t dr = rows[r];
-        if (dr == sentinel) continue;
-        plan.codes[static_cast<size_t>(r)] |= plan.layout.Pack(
-            pd.field, static_cast<uint64_t>(ordinals[dr]));
-      }
-    }
-    for (const auto& part : plan.parts) {
-      if (part.dim_idx >= 0) continue;
-      const storage::Column& c = q.fact->column(part.col);
-      if (part.is_string) {
-        const int32_t* code = c.code_data().data();
-        for (int64_t r = old_rows; r < new_rows; ++r) {
-          plan.codes[static_cast<size_t>(r)] |=
-              plan.layout.Pack(part.field, static_cast<uint64_t>(code[r]));
-        }
-      } else {
-        const int64_t* i64 = c.int64_data().data();
-        for (int64_t r = old_rows; r < new_rows; ++r) {
-          plan.codes[static_cast<size_t>(r)] |= plan.layout.Pack(
-              part.field, static_cast<uint64_t>(i64[r] - part.base));
-        }
-      }
-    }
+    DPSTARJ_ASSIGN_OR_RETURN(
+        plan.codes_,
+        Intern<CodesComponent>(interner, CodesKey(plan, q, new_rows), [&] {
+          return BuildCodes(plan, q, old.codes_.get());
+        }));
   }
-
-  // Tail weights. Accumulation order per row matches Compile (measure
-  // columns outer, rows inner), so the per-row sums associate identically.
-  if (!q.measure_cols.empty()) {
-    plan.weights.resize(static_cast<size_t>(new_rows), 0.0);
-    for (const auto& [col, coeff] : q.measure_cols) {
-      storage::Column::NumericView view = q.fact->column(col).numeric_view();
-      const double c = coeff;
-      for (int64_t r = old_rows; r < new_rows; ++r) {
-        plan.weights[static_cast<size_t>(r)] += c * view[r];
-      }
-    }
+  if (old.weights_ != nullptr) {
+    DPSTARJ_ASSIGN_OR_RETURN(
+        plan.weights_,
+        Intern<WeightsComponent>(interner, WeightsKey(q, new_rows), [&] {
+          return BuildWeights(q, old.weights_.get(), new_rows);
+        }));
   }
-
-  // Splice the tail into the counting-sort runs: each code's new run is its
-  // old run (rows already in scan order) followed by its tail rows in scan
-  // order — exactly what a fresh stable counting sort over all rows
-  // produces, since every tail row index is larger than every compiled row
-  // index. Per-group aggregation order (and thus float association) is
-  // therefore bit-identical to a from-scratch compile.
-  if (plan.has_sorted_runs) {
-    const int64_t space = static_cast<int64_t>(*plan.code_space);
-    std::vector<int64_t> tail_count(static_cast<size_t>(space), 0);
-    bool populates_empty_run = false;
-    for (int64_t r = old_rows; r < new_rows; ++r) {
-      const size_t code =
-          static_cast<size_t>(plan.codes[static_cast<size_t>(r)]);
-      if (tail_count[code]++ == 0 &&
-          old.run_offsets[code] == old.run_offsets[code + 1]) {
-        populates_empty_run = true;
-      }
-    }
-    std::vector<int64_t> offsets(static_cast<size_t>(space) + 1, 0);
-    for (int64_t c = 0; c < space; ++c) {
-      const size_t cs = static_cast<size_t>(c);
-      offsets[cs + 1] = offsets[cs] +
-                        (old.run_offsets[cs + 1] - old.run_offsets[cs]) +
-                        tail_count[cs];
-    }
-    // Stable counting sort of just the tail rows by code, so the merge below
-    // emits every destination element exactly once and strictly in run
-    // order: no zero-initialized full-size scratch, no random-access cursor.
-    const int64_t tail_n = new_rows - old_rows;
-    std::vector<int64_t> tail_begin(static_cast<size_t>(space) + 1, 0);
-    for (int64_t c = 0; c < space; ++c) {
-      tail_begin[static_cast<size_t>(c) + 1] =
-          tail_begin[static_cast<size_t>(c)] +
-          tail_count[static_cast<size_t>(c)];
-    }
-    std::vector<int64_t> tail_sorted(static_cast<size_t>(tail_n));
-    {
-      std::vector<int64_t> cursor(tail_begin.begin(), tail_begin.end() - 1);
-      for (int64_t r = old_rows; r < new_rows; ++r) {
-        const size_t code =
-            static_cast<size_t>(plan.codes[static_cast<size_t>(r)]);
-        tail_sorted[static_cast<size_t>(cursor[code]++)] = r;
-      }
-    }
-    std::vector<std::vector<int32_t>> sorted_dim_row(plan.dims.size());
-    for (auto& v : sorted_dim_row) v.reserve(static_cast<size_t>(new_rows));
-    const bool weighted = !plan.weights.empty();
-    std::vector<double> sorted_weights;
-    if (weighted) sorted_weights.reserve(static_cast<size_t>(new_rows));
-    for (int64_t c = 0; c < space; ++c) {
-      const size_t cs = static_cast<size_t>(c);
-      const int64_t old_begin = old.run_offsets[cs];
-      const int64_t old_end = old.run_offsets[cs + 1];
-      for (size_t i = 0; i < plan.dims.size(); ++i) {
-        sorted_dim_row[i].insert(sorted_dim_row[i].end(),
-                                 old.sorted_dim_row[i].begin() + old_begin,
-                                 old.sorted_dim_row[i].begin() + old_end);
-      }
-      if (weighted) {
-        sorted_weights.insert(sorted_weights.end(),
-                              old.sorted_weights.begin() + old_begin,
-                              old.sorted_weights.begin() + old_end);
-      }
-      for (int64_t t = tail_begin[cs]; t < tail_begin[cs + 1]; ++t) {
-        const size_t r = static_cast<size_t>(tail_sorted[static_cast<size_t>(t)]);
-        for (size_t i = 0; i < plan.dims.size(); ++i) {
-          sorted_dim_row[i].push_back(plan.fact_dim_row[i][r]);
-        }
-        if (weighted) sorted_weights.push_back(plan.weights[r]);
-      }
-    }
-    plan.run_offsets = std::move(offsets);
-    plan.sorted_dim_row = std::move(sorted_dim_row);
-    plan.sorted_weights = std::move(sorted_weights);
-
-    if (populates_empty_run) {
-      // Codes whose runs were empty are populated now: re-render labels
-      // from the new runs with the same loop Compile uses.
-      RenderRunLabels(plan, q);
-    } else {
-      // The set of non-empty runs is unchanged, and the label table depends
-      // only on that set — the old table is exactly what a fresh render
-      // over the spliced runs would produce.
-      plan.group_labels = old.group_labels;
-      plan.label_of_code = old.label_of_code;
-    }
-  }
+  if (plan.has_sorted_runs) plan.AssembleSorted(&old, interner);
   return plan;
 }
 
-size_t ScanPlan::ApproxBytes() const {
-  size_t bytes = sizeof(ScanPlan);
-  for (const auto& v : fact_dim_row) bytes += v.capacity() * sizeof(int32_t);
-  for (const auto& v : sorted_dim_row) bytes += v.capacity() * sizeof(int32_t);
-  bytes += codes.capacity() * sizeof(uint64_t);
-  bytes += weights.capacity() * sizeof(double);
-  bytes += sorted_weights.capacity() * sizeof(double);
-  bytes += run_offsets.capacity() * sizeof(int64_t);
-  bytes += label_of_code.capacity() * sizeof(int32_t);
-  for (const auto& s : group_labels) bytes += sizeof(s) + s.capacity();
+std::vector<const ScaffoldComponent*> ScanPlan::Components() const {
+  std::vector<const ScaffoldComponent*> out;
   for (const auto& d : dims) {
-    bytes += d.group_ordinal.capacity() * sizeof(int32_t);
-    bytes += d.rep_rows.capacity() * sizeof(int64_t);
-    for (const auto& t : d.ordinal_tables) {
-      bytes += t.ordinals.capacity() * sizeof(int64_t);
-    }
+    out.push_back(d.fk.get());
+    out.push_back(d.group.get());
+    out.push_back(d.sorted.get());
+    for (const auto& t : d.ordinal_tables) out.push_back(t.get());
+  }
+  out.push_back(codes_.get());
+  out.push_back(weights_.get());
+  out.push_back(sorted_weights_.get());
+  out.erase(std::remove(out.begin(), out.end(), nullptr), out.end());
+  std::sort(out.begin(), out.end());
+  out.erase(std::unique(out.begin(), out.end()), out.end());
+  return out;
+}
+
+size_t ScanPlan::OwnBytes() const {
+  size_t bytes = sizeof(ScanPlan) + parts.capacity() * sizeof(PlanLabelPart) +
+                 dims.capacity() * sizeof(PlanDim);
+  for (const auto& d : dims) {
+    bytes += d.ordinal_tables.capacity() * sizeof(d.ordinal_tables[0]);
   }
   return bytes;
+}
+
+const std::vector<int32_t>& PlanDim::group_ordinal() const {
+  return group != nullptr ? group->group_ordinal : EmptyVector<int32_t>();
+}
+
+const std::vector<int64_t>& PlanDim::rep_rows() const {
+  return group != nullptr ? group->rep_rows : EmptyVector<int64_t>();
+}
+
+const std::vector<int32_t>& ScanPlan::sorted_dim_row(size_t i) const {
+  const PlanDim& d = dims[i];
+  return d.sorted != nullptr ? d.sorted->values : EmptyVector<int32_t>();
+}
+
+const std::vector<uint64_t>& ScanPlan::codes() const {
+  return codes_ != nullptr ? codes_->codes : EmptyVector<uint64_t>();
+}
+
+const std::vector<double>& ScanPlan::weights() const {
+  return weights_ != nullptr ? weights_->weights : EmptyVector<double>();
+}
+
+const std::vector<int64_t>& ScanPlan::run_offsets() const {
+  return codes_ != nullptr ? codes_->run_offsets : EmptyVector<int64_t>();
+}
+
+const std::vector<double>& ScanPlan::sorted_weights() const {
+  return sorted_weights_ != nullptr ? sorted_weights_->values
+                                    : EmptyVector<double>();
+}
+
+const std::vector<std::string>& ScanPlan::group_labels() const {
+  return codes_ != nullptr ? codes_->group_labels
+                           : EmptyVector<std::string>();
+}
+
+const std::vector<int32_t>& ScanPlan::label_of_code() const {
+  return codes_ != nullptr ? codes_->label_of_code : EmptyVector<int32_t>();
 }
 
 bool ScanPlan::Matches(const query::BoundQuery& q) const {
@@ -647,8 +873,8 @@ Result<std::vector<uint64_t>> BuildPassBitmap(
     }
     const std::vector<int64_t>* ordinals = nullptr;
     for (const auto& t : pd.ordinal_tables) {
-      if (t.column_index == pred.column_index && t.domain == pred.domain) {
-        ordinals = &t.ordinals;
+      if (t->column_index == pred.column_index && t->domain == pred.domain) {
+        ordinals = &t->ordinals;
         break;
       }
     }

@@ -22,8 +22,19 @@
 // and packed into uint64 words, then a fact scan that is just gathers into
 // those bitmaps plus the pre-packed code/weight arrays.
 //
+// The scaffold arrays are not owned by the plan: each lives in an immutable
+// scaffold component (exec/scaffold.h) interned by exactly the inputs it is
+// a function of, so plans that agree on those inputs share one copy — two
+// signatures joining the same dimension share its FK resolution, two SUMs
+// over the same measure share its weights, two GROUP BYs over the same
+// layout share codes, runs and labels. A plan is a small bundle of
+// references to its components plus the per-query layout. Footprint is
+// therefore counted per *component*: see ScanPlan::Components and
+// PlanCache::bytes().
+//
 // Plans are immutable after Compile and safe to share across threads; see
-// exec/plan_cache.h for the canonical-keyed cache with invalidation.
+// exec/plan_cache.h for the canonical-keyed cache with invalidation, which
+// owns the intern table its plans are assembled from.
 
 #pragma once
 
@@ -34,6 +45,7 @@
 
 #include "common/result.h"
 #include "exec/group_code.h"
+#include "exec/scaffold.h"
 #include "query/binder.h"
 
 namespace dpstarj::exec {
@@ -44,32 +56,33 @@ struct PlanDim {
   /// no ordinal and its bit in every predicate bitmap is 0.
   int32_t num_rows = 0;
 
-  /// True when at least one fact row's FK missed this dimension (so some
-  /// entry of fact_dim_row is the sentinel). When false AND an execution's
-  /// rebuilt bitmap passes every real row — a fully-open predicate, common
-  /// under PM perturbation of wide ranges — the dimension cannot reject any
-  /// fact row and the sweep drops it entirely (see the executor's plan path).
-  bool has_absent_fk = false;
-
-  /// row → dense group ordinal over the dimension's GROUP BY columns (empty
-  /// when the dimension contributes no group keys). Ordinals are assigned in
-  /// first-occurrence row order over all rows — predicate-independent.
-  std::vector<int32_t> group_ordinal;
-  /// ordinal → representative dimension row (for label rendering).
-  std::vector<int64_t> rep_rows;
   /// GroupCodeLayout field of this dimension, -1 when it has no group cols.
   int field = -1;
 
-  /// Memoized row → domain-ordinal table for one predicate column.
-  struct OrdinalTable {
-    int column_index = -1;
-    storage::AttributeDomain domain;
-    std::vector<int64_t> ordinals;  ///< -1 = value outside the domain
-  };
+  /// Fact row → dimension row (absent FKs → num_rows).
+  std::shared_ptr<const FkRowsComponent> fk;
+  /// Group ordinals over the dimension's GROUP BY columns; null when the
+  /// dimension contributes no group keys.
+  std::shared_ptr<const GroupOrdinals> group;
+  /// fk's rows permuted into run order; null unless the plan has sorted runs.
+  std::shared_ptr<const SortedRows> sorted;
   /// One table per distinct (column, domain) among the query's own
   /// predicates. Overrides that keep column and domain (the Predicate
   /// Mechanism always does) evaluate against these; others compute fresh.
-  std::vector<OrdinalTable> ordinal_tables;
+  std::vector<std::shared_ptr<const OrdinalTable>> ordinal_tables;
+
+  /// True when at least one fact row's FK missed this dimension (so some
+  /// entry of fk->rows is the sentinel). When false AND an execution's
+  /// rebuilt bitmap passes every real row — a fully-open predicate, common
+  /// under PM perturbation of wide ranges — the dimension cannot reject any
+  /// fact row and the sweep drops it entirely (see the executor's plan path).
+  bool has_absent_fk() const { return fk->has_absent_fk; }
+  /// row → dense group ordinal (empty when the dimension has no group keys).
+  /// Ordinals are assigned in first-occurrence row order over all rows —
+  /// predicate-independent.
+  const std::vector<int32_t>& group_ordinal() const;
+  /// ordinal → representative dimension row (for label rendering).
+  const std::vector<int64_t>& rep_rows() const;
 };
 
 /// \brief One rendered group-key part, in declared GROUP BY order.
@@ -86,7 +99,12 @@ class ScanPlan {
  public:
   /// \brief Compiles `q`. Costs about one fresh execution (one fact pass plus
   /// the per-dimension index builds) and is amortized by every later run.
-  static Result<ScanPlan> Compile(const query::BoundQuery& q);
+  ///
+  /// With an `interner`, every component is first looked up by its key and
+  /// only the missing ones are built (and published there); without one the
+  /// plan builds private components. Either way the arrays are identical.
+  static Result<ScanPlan> Compile(const query::BoundQuery& q,
+                                  ScaffoldInterner* interner = nullptr);
 
   /// \brief True when the plan was compiled against exactly the tables (by
   /// identity *and* row count — tables are append-only) and the aggregate
@@ -102,23 +120,31 @@ class ScanPlan {
   /// \brief Compiles a plan for `q` by extending `old` over the fact table's
   /// appended tail only: FK resolution, group-code packing, and weights run
   /// over rows [old.fact_rows(), q.fact->num_rows()), and the tail is spliced
-  /// into the counting-sort runs. Because the sort is stable and every tail
-  /// row index exceeds every compiled row index, the result is bit-identical
-  /// to a fresh Compile on the grown table (tests/ingest_test.cc asserts
-  /// this over randomized append schedules). Returns NotSupported when the
-  /// tail cannot be spliced — the plan was scalar-fallback, or a fact-side
-  /// group key outgrew its packed bit field — in which case the caller falls
-  /// back to a full Compile.
+  /// into the counting-sort runs. Dimension-sized components (group
+  /// ordinals, ordinal tables) carry over unchanged. Because the sort is
+  /// stable and every tail row index exceeds every compiled row index, the
+  /// result is bit-identical to a fresh Compile on the grown table
+  /// (tests/ingest_test.cc asserts this over randomized append schedules).
+  /// With an `interner`, each grown component is extended once per append:
+  /// a plan that shares it with an already-extended plan picks up the
+  /// extended component instead of splicing again. Returns NotSupported
+  /// when the tail cannot be spliced — the plan was scalar-fallback, or a
+  /// fact-side group key outgrew its packed bit field — in which case the
+  /// caller falls back to a full Compile.
   static Result<ScanPlan> ExtendFrom(const ScanPlan& old,
-                                     const query::BoundQuery& q);
+                                     const query::BoundQuery& q,
+                                     ScaffoldInterner* interner = nullptr);
 
   /// The GROUP BY key set could not be packed into a 64-bit code; execution
   /// must take the scalar pipeline (no scaffold is built in this case).
   bool requires_scalar() const { return requires_scalar_; }
 
-  /// Approximate heap footprint of the scaffold arrays (for the cache's
-  /// byte budget; labels and small per-dimension tables included).
-  size_t ApproxBytes() const;
+  /// Every component the plan references, each once.
+  std::vector<const ScaffoldComponent*> Components() const;
+  /// Approximate heap footprint of the plan object itself, components
+  /// excluded (layout, parts, per-dimension bookkeeping). A plan's total
+  /// footprint is this plus ApproxBytes() of each of its Components().
+  size_t OwnBytes() const;
 
   // --- scaffold data, read by the executor's plan path -------------------
   bool grouped = false;
@@ -128,11 +154,13 @@ class ScanPlan {
   std::vector<PlanDim> dims;
 
   /// Per dimension: fact row → dimension row, absent FKs → dims[i].num_rows.
-  std::vector<std::vector<int32_t>> fact_dim_row;
+  const std::vector<int32_t>& fact_dim_row(size_t i) const {
+    return dims[i].fk->rows;
+  }
   /// Pre-packed group code per fact row (empty when !grouped).
-  std::vector<uint64_t> codes;
+  const std::vector<uint64_t>& codes() const;
   /// Per-row aggregate weight (empty = COUNT, weight 1.0).
-  std::vector<double> weights;
+  const std::vector<double>& weights() const;
 
   /// Run-sorted scaffold, built for grouped queries whose code space fits the
   /// dense accumulator: fact rows stably partitioned by group code (counting
@@ -143,11 +171,11 @@ class ScanPlan {
   /// single-thread fresh-build order) at *any* worker count.
   bool has_sorted_runs = false;
   /// code → begin of its run in the sorted arrays (size code_space + 1).
-  std::vector<int64_t> run_offsets;
+  const std::vector<int64_t>& run_offsets() const;
   /// Per dimension: fact_dim_row permuted into run order.
-  std::vector<std::vector<int32_t>> sorted_dim_row;
+  const std::vector<int32_t>& sorted_dim_row(size_t i) const;
   /// weights permuted into run order (empty = COUNT).
-  std::vector<double> sorted_weights;
+  const std::vector<double>& sorted_weights() const;
 
   /// Labels too are predicate-independent, so the run-sorted scaffold
   /// pre-renders them: the sorted unique label of every code whose run is
@@ -156,13 +184,22 @@ class ScanPlan {
   /// result map in pre-sorted order. Distinct codes may share a label (two
   /// doubles rendering identically); they merge into one slot, matching the
   /// fresh pipeline's merge-by-label semantics.
-  std::vector<std::string> group_labels;
-  std::vector<int32_t> label_of_code;
+  const std::vector<std::string>& group_labels() const;
+  const std::vector<int32_t>& label_of_code() const;
 
   int64_t fact_rows() const { return fact_rows_; }
 
  private:
+  // Sets dims[i].sorted and sorted_weights_ once codes_, the FK components
+  // and weights_ are in place; `old` is the plan being extended, if any.
+  void AssembleSorted(const ScanPlan* old, ScaffoldInterner* interner);
+
   bool requires_scalar_ = false;
+
+  // Plan-wide components (per-dimension ones live in `dims`).
+  std::shared_ptr<const CodesComponent> codes_;
+  std::shared_ptr<const WeightsComponent> weights_;
+  std::shared_ptr<const SortedWeights> sorted_weights_;
 
   // Identity for Matches(): the exact tables and aggregate shape compiled.
   std::shared_ptr<storage::Table> fact_;

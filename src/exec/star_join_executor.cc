@@ -286,7 +286,7 @@ struct ScanPartial {
 using ScanPartials = std::vector<CacheAligned<ScanPartial>>;
 
 // True when bits [0, rows) are all set — a rebuilt predicate bitmap that
-// passes every real dimension row. Together with PlanDim::has_absent_fk ==
+// passes every real dimension row. Together with PlanDim::has_absent_fk() ==
 // false this proves the dimension cannot reject any fact row, so the sweep
 // skips its gathers entirely (fully-open predicates are the steady state of
 // PM perturbation over wide domains). The check is ISA-independent, so
@@ -394,7 +394,7 @@ QueryResult RenderPlanGroups(const query::BoundQuery& q, const ScanPlan& plan,
                              const GroupAccumulator& merged, bool is_avg) {
   std::vector<const std::vector<int64_t>*> rep_rows(q.dims.size());
   for (size_t i = 0; i < q.dims.size(); ++i) {
-    rep_rows[i] = &plan.dims[i].rep_rows;
+    rep_rows[i] = &plan.dims[i].rep_rows();
   }
   return RenderGroupedResult(q, plan.layout, plan.parts, rep_rows, merged,
                              is_avg);
@@ -638,21 +638,21 @@ Result<QueryResult> StarJoinExecutor::Execute(const query::BoundQuery& q,
   // aggregates and reproducible for inexact ones.
   if (grouped && plan.has_sorted_runs && !strict) {
     const int64_t code_space = static_cast<int64_t>(*plan.code_space);
-    const size_t num_labels = plan.group_labels.size();
-    const int64_t* offsets = plan.run_offsets.data();
-    const int32_t* label_of = plan.label_of_code.data();
+    const size_t num_labels = plan.group_labels().size();
+    const int64_t* offsets = plan.run_offsets().data();
+    const int32_t* label_of = plan.label_of_code().data();
     const double* sorted_w =
-        plan.sorted_weights.empty() ? nullptr : plan.sorted_weights.data();
+        plan.sorted_weights().empty() ? nullptr : plan.sorted_weights().data();
     // Only dimensions that can actually reject a fact row take part in the
     // verdict gather (see BitmapPassesAllRows).
     std::vector<const int32_t*> sorted_rows;
     std::vector<const uint64_t*> words;
     for (size_t i = 0; i < num_dims; ++i) {
-      if (!plan.dims[i].has_absent_fk &&
+      if (!plan.dims[i].has_absent_fk() &&
           BitmapPassesAllRows(bitmaps[i], plan.dims[i].num_rows)) {
         continue;
       }
-      sorted_rows.push_back(plan.sorted_dim_row[i].data());
+      sorted_rows.push_back(plan.sorted_dim_row(i).data());
       words.push_back(bitmaps[i].data());
     }
     const size_t active_dims = sorted_rows.size();
@@ -720,7 +720,7 @@ Result<QueryResult> StarJoinExecutor::Execute(const query::BoundQuery& q,
       }
       if (total.rows == 0) continue;
       result.groups.emplace_hint(
-          result.groups.end(), plan.group_labels[li],
+          result.groups.end(), plan.group_labels()[li],
           is_avg ? total.sum / static_cast<double>(total.rows) : total.sum);
     }
     return result;
@@ -740,7 +740,7 @@ Result<QueryResult> StarJoinExecutor::Execute(const query::BoundQuery& q,
   std::vector<const uint64_t*> pass_words(num_dims);
   std::vector<int32_t> sentinels(num_dims);
   for (size_t i = 0; i < num_dims; ++i) {
-    dim_rows[i] = plan.fact_dim_row[i].data();
+    dim_rows[i] = plan.fact_dim_row(i).data();
     pass_words[i] = bitmaps[i].data();
     sentinels[i] = plan.dims[i].num_rows;
   }
@@ -750,7 +750,7 @@ Result<QueryResult> StarJoinExecutor::Execute(const query::BoundQuery& q,
   std::vector<const int32_t*> active_rows;
   std::vector<const uint64_t*> active_words;
   for (size_t i = 0; i < num_dims; ++i) {
-    if (!plan.dims[i].has_absent_fk &&
+    if (!plan.dims[i].has_absent_fk() &&
         BitmapPassesAllRows(bitmaps[i], plan.dims[i].num_rows)) {
       continue;
     }
@@ -758,8 +758,8 @@ Result<QueryResult> StarJoinExecutor::Execute(const query::BoundQuery& q,
     active_words.push_back(pass_words[i]);
   }
   const size_t active_dims = active_rows.size();
-  const uint64_t* codes = plan.codes.data();
-  const double* weights = plan.weights.empty() ? nullptr : plan.weights.data();
+  const uint64_t* codes = plan.codes().data();
+  const double* weights = plan.weights().empty() ? nullptr : plan.weights().data();
 
   // The scan is pure gathers: resolved dimension rows index into the pass
   // bitmaps (an absent FK hits the sentinel bit, which is always 0), and the

@@ -293,6 +293,12 @@ Json ServiceStatsToJson(const service::ServiceStats& stats) {
                                       stats.plan_cache.invalidated_append)));
   plans.Set("invalidated_identity", Json::Number(static_cast<double>(
                                         stats.plan_cache.invalidated_identity)));
+  plans.Set("components_built", Json::Number(static_cast<double>(
+                                    stats.plan_cache.components_built)));
+  plans.Set("components_reused", Json::Number(static_cast<double>(
+                                     stats.plan_cache.components_reused)));
+  plans.Set("component_bytes", Json::Number(static_cast<double>(
+                                   stats.plan_cache.component_bytes)));
   plans.Set("evictions",
             Json::Number(static_cast<double>(stats.plan_cache.evictions)));
   plans.Set("hit_rate", Json::Number(stats.plan_cache.HitRate()));
@@ -386,6 +392,17 @@ Router MakeServiceRouter(service::QueryService* service, ApiOptions options) {
     reg->GetGauge("dpstarj_plan_recompiles",
                   "Plan-cache lookups that compiled a fresh plan")
         ->Set(static_cast<double>(stats.plan_cache.misses));
+    reg->GetGauge("dpstarj_plan_components_built",
+                  "Scaffold components built by plan compiles and extensions")
+        ->Set(static_cast<double>(stats.plan_cache.components_built));
+    reg->GetGauge("dpstarj_plan_components_reused",
+                  "Scaffold component lookups served by a component another "
+                  "plan already holds")
+        ->Set(static_cast<double>(stats.plan_cache.components_reused));
+    reg->GetGauge("dpstarj_plan_component_bytes",
+                  "Bytes of the distinct scaffold components held by cached "
+                  "plans, each counted once")
+        ->Set(static_cast<double>(stats.plan_cache.component_bytes));
     reg->GetGauge("dpstarj_admission_rate_limited",
                   "Lifetime submissions refused by tenant token buckets")
         ->Set(static_cast<double>(stats.tenant_rate_limited));

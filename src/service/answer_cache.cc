@@ -39,6 +39,12 @@ void AnswerCache::Insert(const std::string& key, const exec::QueryResult& answer
   }
 }
 
+void AnswerCache::CountReplay(double epsilon) {
+  std::lock_guard<std::mutex> lock(mu_);
+  ++stats_.hits;
+  stats_.epsilon_saved += epsilon;
+}
+
 void AnswerCache::Clear() {
   std::lock_guard<std::mutex> lock(mu_);
   lru_.clear();

@@ -52,6 +52,9 @@ class AnswerCache {
   /// replay saves; it is added to Stats::epsilon_saved on a hit.
   std::optional<exec::QueryResult> Lookup(const std::string& key, double epsilon);
 
+  /// Counts a replay of `epsilon` served without a Lookup: an identical
+  /// in-flight miss's answer handed to the query that waited for it.
+  void CountReplay(double epsilon);
   /// Stores `answer` under `key`, evicting the least-recently-used entry when
   /// full. Re-inserting an existing key refreshes its recency (the stored
   /// answer is kept: the first release is the one that was paid for).

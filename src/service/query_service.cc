@@ -50,7 +50,8 @@ std::string ServiceStats::ToString() const {
       "ingest: %llu batches / %llu rows | "
       "cache: %llu hits / %llu misses (%.1f%% hit rate), eps saved %.4g | "
       "plans: %llu hits / %llu misses (%llu extended), "
-      "%llu invalidated (%llu append / %llu identity)",
+      "%llu invalidated (%llu append / %llu identity), "
+      "components %llu built / %llu reused",
       static_cast<unsigned long long>(submitted),
       static_cast<unsigned long long>(completed),
       static_cast<unsigned long long>(failed),
@@ -70,7 +71,9 @@ std::string ServiceStats::ToString() const {
       static_cast<unsigned long long>(plan_cache.extends),
       static_cast<unsigned long long>(plan_cache.invalidations),
       static_cast<unsigned long long>(plan_cache.invalidated_append),
-      static_cast<unsigned long long>(plan_cache.invalidated_identity));
+      static_cast<unsigned long long>(plan_cache.invalidated_identity),
+      static_cast<unsigned long long>(plan_cache.components_built),
+      static_cast<unsigned long long>(plan_cache.components_reused));
 }
 
 QueryService::QueryService(const storage::Catalog* catalog, ServiceOptions options)
@@ -341,10 +344,40 @@ Result<exec::QueryResult> QueryService::Execute(core::DpStarJoin& engine,
   // Ingest takes these exclusively per batch (see Ingest below).
   auto table_locks = LockTablesShared(TableNamesOf(*bound));
   const std::string key = query::CanonicalEpochKey(*bound, epsilon);
-  auto replay = [&] {
+  // The in-flight check and the lookup are one step under inflight_mu_: a
+  // leader stores its answer before it leaves the in-flight map, so a miss
+  // here either finds that answer or joins the flight — two identical
+  // concurrent misses never both draw (and spend).
+  std::shared_ptr<InFlightAnswer> flight;
+  bool leader = false;
+  auto replay = [&]() -> std::optional<exec::QueryResult> {
     obs::ScopedStage lookup_span(trace, obs::Stage::kCacheLookup);
-    return cache_.Lookup(key, epsilon);
+    std::lock_guard<std::mutex> lock(inflight_mu_);
+    auto running = inflight_.find(key);
+    if (running != inflight_.end()) {
+      flight = running->second;
+      return std::nullopt;
+    }
+    auto hit = cache_.Lookup(key, epsilon);
+    // A disabled answer cache means every query draws afresh: no sharing.
+    if (!hit && cache_.capacity() > 0) {
+      flight = std::make_shared<InFlightAnswer>();
+      inflight_.emplace(key, flight);
+      leader = true;
+    }
+    return hit;
   }();
+  if (flight != nullptr && !leader) {
+    // An identical miss is running: its answer is this query's answer, a
+    // replay of that release. If it failed, look up and answer afresh.
+    const Result<exec::QueryResult>& first = flight->done.get();
+    if (first.ok()) {
+      cache_.CountReplay(epsilon);
+      replay = *first;
+    } else {
+      replay = cache_.Lookup(key, epsilon);
+    }
+  }
   if (replay) {
     // Post-processing closure: re-releasing a stored noisy answer is free.
     if (trace != nullptr) trace->answer_cache_hit = true;
@@ -352,14 +385,33 @@ Result<exec::QueryResult> QueryService::Execute(core::DpStarJoin& engine,
     completed_->Inc();
     return std::move(*replay);
   }
+  // The leader publishes its outcome on every exit — a throwing answer path
+  // included — so waiting misses can never hang.
+  struct Publish {
+    QueryService& svc;
+    const std::string& key;
+    InFlightAnswer* flight;  // null when not the leader
+    Result<exec::QueryResult> outcome =
+        Status::Internal("identical in-flight query did not complete");
+    ~Publish() {
+      if (flight == nullptr) return;
+      {
+        std::lock_guard<std::mutex> lock(svc.inflight_mu_);
+        svc.inflight_.erase(key);
+      }
+      flight->promise.set_value(std::move(outcome));
+    }
+  } publish{*this, key, leader ? flight.get() : nullptr};
   auto answer = engine.AnswerBound(*bound, epsilon, engine.rng(), trace);
   if (!answer.ok()) {
+    publish.outcome = answer.status();
     (void)ledger_.Refund(tenant, epsilon);
     failed_->Inc();
     return answer.status();
   }
   answer->epoch = bound->fact->version();
   cache_.Insert(key, *answer);
+  publish.outcome = *answer;
   completed_->Inc();
   return std::move(*answer);
 }

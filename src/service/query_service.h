@@ -176,7 +176,9 @@ struct IngestOutcome {
 ///   3. the bound query is canonicalized; a cache hit replays the stored
 ///      noisy answer and refunds the ε (replay is free under DP);
 ///   4. a cache miss runs the Predicate Mechanism on the worker's engine and
-///      stores the noisy answer for future replays.
+///      stores the noisy answer for future replays. A miss on a key whose
+///      identical miss is still running does not draw again: it waits for
+///      that answer, refunds its ε and returns the same release.
 ///
 /// All public methods may be called from any thread.
 class QueryService {
@@ -339,6 +341,18 @@ class QueryService {
   BudgetLedger ledger_;
   AnswerCache cache_;
   AdmissionController admission_;
+  /// The outcome of one answer-cache miss that is still being answered,
+  /// shared with identical misses that wait for it instead of drawing again.
+  struct InFlightAnswer {
+    std::promise<Result<exec::QueryResult>> promise;
+    std::shared_future<Result<exec::QueryResult>> done =
+        promise.get_future().share();
+  };
+  /// Answer-cache key → its running miss. Guarded by inflight_mu_, which is
+  /// also held across every answer-cache lookup of the query path, so a
+  /// miss either sees the finished answer in the cache or joins the flight.
+  std::mutex inflight_mu_;
+  std::unordered_map<std::string, std::shared_ptr<InFlightAnswer>> inflight_;
   /// Declared before pool_: the engines capture it at construction.
   std::shared_ptr<exec::PlanCache> plan_cache_;
   EnginePool pool_;

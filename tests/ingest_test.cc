@@ -33,6 +33,7 @@
 #include "common/string_util.h"
 #include "exec/data_cube.h"
 #include "exec/plan_cache.h"
+#include "exec/plan_cache.h"
 #include "exec/scan_plan.h"
 #include "exec/star_join_executor.h"
 #include "net/client.h"
@@ -114,21 +115,21 @@ void ExpectSamePlan(const ScanPlan& fresh, const ScanPlan& ext,
   EXPECT_EQ(fresh.fact_rows(), ext.fact_rows());
   EXPECT_EQ(fresh.grouped, ext.grouped);
   EXPECT_EQ(fresh.code_space, ext.code_space);
-  EXPECT_EQ(fresh.fact_dim_row, ext.fact_dim_row);
-  EXPECT_EQ(fresh.codes, ext.codes);
-  EXPECT_EQ(fresh.weights, ext.weights);
+  EXPECT_EQ(fresh.codes(), ext.codes());
+  EXPECT_EQ(fresh.weights(), ext.weights());
   EXPECT_EQ(fresh.has_sorted_runs, ext.has_sorted_runs);
-  EXPECT_EQ(fresh.run_offsets, ext.run_offsets);
-  EXPECT_EQ(fresh.sorted_dim_row, ext.sorted_dim_row);
-  EXPECT_EQ(fresh.sorted_weights, ext.sorted_weights);
-  EXPECT_EQ(fresh.group_labels, ext.group_labels);
-  EXPECT_EQ(fresh.label_of_code, ext.label_of_code);
+  EXPECT_EQ(fresh.run_offsets(), ext.run_offsets());
+  EXPECT_EQ(fresh.sorted_weights(), ext.sorted_weights());
+  EXPECT_EQ(fresh.group_labels(), ext.group_labels());
+  EXPECT_EQ(fresh.label_of_code(), ext.label_of_code());
   ASSERT_EQ(fresh.dims.size(), ext.dims.size());
   for (size_t i = 0; i < fresh.dims.size(); ++i) {
+    EXPECT_EQ(fresh.fact_dim_row(i), ext.fact_dim_row(i));
+    EXPECT_EQ(fresh.sorted_dim_row(i), ext.sorted_dim_row(i));
     EXPECT_EQ(fresh.dims[i].num_rows, ext.dims[i].num_rows);
-    EXPECT_EQ(fresh.dims[i].has_absent_fk, ext.dims[i].has_absent_fk);
-    EXPECT_EQ(fresh.dims[i].group_ordinal, ext.dims[i].group_ordinal);
-    EXPECT_EQ(fresh.dims[i].rep_rows, ext.dims[i].rep_rows);
+    EXPECT_EQ(fresh.dims[i].has_absent_fk(), ext.dims[i].has_absent_fk());
+    EXPECT_EQ(fresh.dims[i].group_ordinal(), ext.dims[i].group_ordinal());
+    EXPECT_EQ(fresh.dims[i].rep_rows(), ext.dims[i].rep_rows());
     EXPECT_EQ(fresh.dims[i].field, ext.dims[i].field);
   }
 }
@@ -187,6 +188,86 @@ TEST(IngestEquivalenceTest, ExtendMatchesFreshCompileOnRandomSchedules) {
         prev = std::move(ext);  // next batch extends the extension
       }
     }
+  }
+}
+
+TEST(IngestEquivalenceTest, SharedComponentExtendsMatchFreshCompile) {
+  // The same randomized schedules, but every plan comes from one PlanCache,
+  // so the shapes share FK, weights and code components. Each append is
+  // looked up by a random subset of the shapes, in random order: a shared
+  // component is extended by whichever plan reaches it first (possibly
+  // from an older base than another sharer's) and picked up by the rest.
+  query::StarJoinQuery grouped_count = ToyGroupedQuery();
+  grouped_count.aggregate = query::AggregateKind::kCount;
+  grouped_count.measure_terms.clear();
+  const std::vector<query::StarJoinQuery> shapes = {
+      ToyCountQuery(), ToyGroupedQuery(), ToyFactGroupedQuery(),
+      ToyMultiMeasureQuery(), grouped_count};
+  for (uint64_t seed = 1; seed <= 4; ++seed) {
+    storage::Catalog catalog = MakeToyCatalog();
+    query::Binder binder(&catalog);
+    StarJoinExecutor executor;
+    exec::PlanCache cache;
+    auto orders = catalog.GetTable("Orders");
+    ASSERT_TRUE(orders.ok());
+    for (const auto& q : shapes) {
+      auto bound = binder.Bind(q);
+      ASSERT_TRUE(bound.ok()) << bound.status().ToString();
+      ASSERT_TRUE(cache.GetOrCompile(*bound).ok());
+    }
+
+    Rng rng(seed * 7919);
+    constexpr int kBatches = 4;
+    for (int batch = 0; batch < kBatches; ++batch) {
+      const int64_t batch_rows = rng.UniformInt(1, 8);
+      for (int64_t r = 0; r < batch_rows; ++r) {
+        ASSERT_TRUE((*orders)->AppendRow(RandomOrdersRow(&rng)).ok());
+      }
+      std::vector<size_t> order(shapes.size());
+      for (size_t i = 0; i < order.size(); ++i) order[i] = i;
+      for (size_t i = order.size(); i > 1; --i) {
+        std::swap(order[i - 1], order[static_cast<size_t>(rng.UniformInt(
+                                    0, static_cast<int64_t>(i) - 1))]);
+      }
+      std::vector<std::shared_ptr<const ScanPlan>> plans(shapes.size());
+      for (size_t shape : order) {
+        // Every shape looks up the last batch, so all end at one row count.
+        if (batch + 1 < kBatches && rng.UniformInt(0, 1) == 0) continue;
+        auto grown = binder.Bind(shapes[shape]);
+        ASSERT_TRUE(grown.ok());
+        auto plan = cache.GetOrCompile(*grown);
+        ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+        auto fresh = ScanPlan::Compile(*grown);
+        ASSERT_TRUE(fresh.ok());
+        ExpectSamePlan(*fresh, **plan,
+                       Format("seed=%llu batch=%d shape=%zu rows=%lld",
+                              static_cast<unsigned long long>(seed), batch,
+                              shape,
+                              static_cast<long long>(grown->fact->num_rows())));
+        auto baseline = executor.Execute(*grown);
+        auto via_plan = executor.Execute(
+            *grown, PredicateOverrides(grown->dims.size()), **plan);
+        ASSERT_TRUE(baseline.ok() && via_plan.ok());
+        ExpectBitIdentical(*baseline, *via_plan);
+        plans[shape] = *plan;
+      }
+      if (batch + 1 < kBatches) continue;
+      // After the last append every shape sits at the same row count, and
+      // the sharers still share: one Cust FK resolution, one codes array
+      // for the two (Cust.region, Prod.cat) layouts.
+      const ScanPlan* first = plans[0].get();
+      for (size_t shape = 1; shape < shapes.size(); ++shape) {
+        EXPECT_EQ(plans[shape]->fact_dim_row(0).data(),
+                  first->fact_dim_row(0).data())
+            << "shape " << shape;
+      }
+      EXPECT_EQ(plans[1]->codes().data(), plans[4]->codes().data());
+    }
+    const exec::PlanCache::Stats stats = cache.GetStats();
+    EXPECT_EQ(stats.misses, shapes.size());
+    EXPECT_EQ(stats.invalidations, 0u);
+    EXPECT_GE(stats.extends, shapes.size());
+    EXPECT_GT(stats.components_reused, 0u);
   }
 }
 

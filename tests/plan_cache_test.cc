@@ -1,12 +1,17 @@
 // PlanCache + ScanPlan behavior: cached-plan execution equals fresh-build
 // execution bit-for-bit, invalidation fires when a table grows, equivalent
-// query spellings share one plan, the cache is safe under concurrent use
-// (run under TSan via the build-tsan / CI TSan configuration), and the plan
-// path never changes Predicate Mechanism noise semantics.
+// query spellings share one plan, plans of different signatures share their
+// scaffold components (and the byte budget counts each component once), the
+// cache is safe under concurrent use (run under TSan via the build-tsan / CI
+// TSan configuration), and the plan path never changes Predicate Mechanism
+// noise semantics.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <set>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -15,6 +20,8 @@
 #include "exec/star_join_executor.h"
 #include "query/binder.h"
 #include "service/query_service.h"
+#include "ssb/ssb_generator.h"
+#include "ssb/ssb_schema.h"
 #include "test_catalog.h"
 
 namespace dpstarj {
@@ -341,37 +348,70 @@ TEST(PlanCacheTest, EmptyGroupByDimensionCompilesAndAnswersEmpty) {
   ExpectBitIdentical(*fresh, *got);
 }
 
+// Toy signatures that overlap in their scaffold inputs: all join Cust, and
+// the sums share the qty weights.
+std::vector<query::StarJoinQuery> OverlappingToyQueries() {
+  std::vector<query::StarJoinQuery> out = {ToyCountQuery(), ToyGroupedQuery()};
+  query::StarJoinQuery by_region = ToyCountQuery();
+  by_region.aggregate = query::AggregateKind::kSum;
+  by_region.measure_terms = {{"qty", 1.0}};
+  by_region.group_by = {{"Cust", "region"}};
+  out.push_back(by_region);
+  query::StarJoinQuery cust_only;
+  cust_only.fact_table = "Orders";
+  cust_only.joined_tables = {"Cust"};
+  cust_only.aggregate = query::AggregateKind::kSum;
+  cust_only.measure_terms = {{"qty", 1.0}};
+  cust_only.predicates.push_back(query::Predicate::Range(
+      "Cust", "tier", Value(int64_t{1}), Value(int64_t{3})));
+  out.push_back(cust_only);
+  return out;
+}
+
+size_t DimIndex(const query::BoundQuery& q, const std::string& table) {
+  for (size_t i = 0; i < q.dims.size(); ++i) {
+    if (q.dims[i].table == table) return i;
+  }
+  ADD_FAILURE() << "no dimension " << table;
+  return 0;
+}
+
 TEST(PlanCacheTest, ConcurrentSharedCacheIsSafe) {
   storage::Catalog catalog = MakeToyCatalog();
   query::Binder binder(&catalog);
-  auto cache = std::make_shared<PlanCache>(4);
+  // Fewer slots than signatures: threads keep evicting plans whose
+  // components other threads' plans still share, and reassembling them.
+  auto cache = std::make_shared<PlanCache>(2);
 
-  auto bound_count = binder.Bind(ToyCountQuery());
-  auto bound_group = binder.Bind(ToyGroupedQuery());
-  ASSERT_TRUE(bound_count.ok() && bound_group.ok());
+  std::vector<query::BoundQuery> bound;
+  std::vector<QueryResult> expected;
   StarJoinExecutor executor;
-  auto expect_count = executor.Execute(*bound_count);
-  auto expect_group = executor.Execute(*bound_group);
-  ASSERT_TRUE(expect_count.ok() && expect_group.ok());
+  for (const auto& q : OverlappingToyQueries()) {
+    auto b = binder.Bind(q);
+    ASSERT_TRUE(b.ok()) << b.status().ToString();
+    auto fresh = executor.Execute(*b);
+    ASSERT_TRUE(fresh.ok());
+    bound.push_back(std::move(*b));
+    expected.push_back(std::move(*fresh));
+  }
 
   std::atomic<int> failures{0};
   std::vector<std::thread> threads;
   for (int t = 0; t < 8; ++t) {
     threads.emplace_back([&, t]() {
-      const query::BoundQuery& bound = t % 2 == 0 ? *bound_count : *bound_group;
-      const QueryResult& expected = t % 2 == 0 ? *expect_count : *expect_group;
       StarJoinExecutor local;
       for (int i = 0; i < 50; ++i) {
         if (t == 0 && i % 16 == 7) cache->Clear();  // exercise the clear race
-        auto plan = cache->GetOrCompile(bound);
+        const size_t k = static_cast<size_t>(t + i) % bound.size();
+        auto plan = cache->GetOrCompile(bound[k]);
         if (!plan.ok()) {
           ++failures;
           continue;
         }
-        auto got = local.Execute(bound, PredicateOverrides(bound.dims.size()),
-                                 **plan);
-        if (!got.ok() || got->scalar != expected.scalar ||
-            got->groups != expected.groups) {
+        auto got = local.Execute(
+            bound[k], PredicateOverrides(bound[k].dims.size()), **plan);
+        if (!got.ok() || got->scalar != expected[k].scalar ||
+            got->groups != expected[k].groups) {
           ++failures;
         }
       }
@@ -379,6 +419,258 @@ TEST(PlanCacheTest, ConcurrentSharedCacheIsSafe) {
   }
   for (auto& t : threads) t.join();
   EXPECT_EQ(failures.load(), 0);
+  EXPECT_GT(cache->GetStats().components_reused, 0u);
+}
+
+TEST(PlanCacheTest, SignaturesOverOneDimensionShareItsComponents) {
+  storage::Catalog catalog = MakeToyCatalog();
+  query::Binder binder(&catalog);
+  PlanCache cache(8);
+  std::vector<query::StarJoinQuery> queries = OverlappingToyQueries();
+  auto b_count = binder.Bind(queries[0]);
+  auto b_grouped = binder.Bind(queries[1]);
+  auto b_cust = binder.Bind(queries[3]);
+  ASSERT_TRUE(b_count.ok() && b_grouped.ok() && b_cust.ok());
+
+  auto p_count = cache.GetOrCompile(*b_count);
+  auto p_grouped = cache.GetOrCompile(*b_grouped);
+  auto p_cust = cache.GetOrCompile(*b_cust);
+  ASSERT_TRUE(p_count.ok() && p_grouped.ok() && p_cust.ok());
+  // Three signatures, three plans...
+  EXPECT_NE(p_count->get(), p_grouped->get());
+  EXPECT_EQ(cache.GetStats().misses, 3u);
+  // ...but one FK resolution per (fact, dimension), by pointer.
+  const ScanPlan& count = **p_count;
+  const ScanPlan& grouped = **p_grouped;
+  const ScanPlan& cust = **p_cust;
+  const size_t c0 = DimIndex(*b_count, "Cust");
+  const size_t c1 = DimIndex(*b_grouped, "Cust");
+  const size_t c2 = DimIndex(*b_cust, "Cust");
+  EXPECT_EQ(count.dims[c0].fk.get(), grouped.dims[c1].fk.get());
+  EXPECT_EQ(count.dims[c0].fk.get(), cust.dims[c2].fk.get());
+  EXPECT_EQ(count.fact_dim_row(c0).data(), cust.fact_dim_row(c2).data());
+  EXPECT_EQ(count.dims[DimIndex(*b_count, "Prod")].fk.get(),
+            grouped.dims[DimIndex(*b_grouped, "Prod")].fk.get());
+  // Same measure list → one weights array; same (dimension, column,
+  // domain) → one ordinal table.
+  EXPECT_EQ(grouped.weights().data(), cust.weights().data());
+  EXPECT_EQ(count.dims[c0].ordinal_tables.at(0).get(),
+            grouped.dims[c1].ordinal_tables.at(0).get());
+  EXPECT_GT(cache.GetStats().components_reused, 0u);
+
+  // A standalone compile builds private components with the same contents.
+  auto standalone = ScanPlan::Compile(*b_cust);
+  ASSERT_TRUE(standalone.ok());
+  EXPECT_NE(standalone->dims[c2].fk.get(), cust.dims[c2].fk.get());
+  EXPECT_EQ(standalone->fact_dim_row(c2), cust.fact_dim_row(c2));
+  EXPECT_EQ(standalone->weights(), cust.weights());
+}
+
+// Σ OwnBytes over `plans` + every distinct component among them once.
+size_t UniqueBytes(const std::vector<const ScanPlan*>& plans) {
+  std::set<const exec::ScaffoldComponent*> seen;
+  size_t bytes = 0;
+  for (const ScanPlan* p : plans) {
+    bytes += p->OwnBytes();
+    for (const exec::ScaffoldComponent* c : p->Components()) {
+      if (seen.insert(c).second) bytes += c->ApproxBytes();
+    }
+  }
+  return bytes;
+}
+
+TEST(PlanCacheTest, BytesCountSharedComponentsOnceAndReleaseWithLastPlan) {
+  storage::Catalog catalog = MakeToyCatalog();
+  query::Binder binder(&catalog);
+  PlanCache cache(2);
+
+  // Two Cust-joining signatures, then two that join only Prod.
+  std::vector<query::StarJoinQuery> queries = {ToyCountQuery(),
+                                               ToyGroupedQuery()};
+  for (const char* cat : {"a", "b"}) {
+    query::StarJoinQuery q;
+    q.fact_table = "Orders";
+    q.joined_tables = {"Prod"};
+    q.aggregate = query::AggregateKind::kCount;
+    q.predicates.push_back(query::Predicate::Point("Prod", "cat", Value(cat)));
+    if (std::string(cat) == "b") q.group_by = {{"Prod", "cat"}};
+    queries.push_back(q);
+  }
+  std::vector<query::BoundQuery> bound;
+  for (const auto& q : queries) {
+    auto b = binder.Bind(q);
+    ASSERT_TRUE(b.ok()) << b.status().ToString();
+    bound.push_back(std::move(*b));
+  }
+
+  std::weak_ptr<const exec::FkRowsComponent> cust_fk;
+  {
+    auto p0 = cache.GetOrCompile(bound[0]);
+    auto p1 = cache.GetOrCompile(bound[1]);
+    ASSERT_TRUE(p0.ok() && p1.ok());
+    const size_t c0 = DimIndex(bound[0], "Cust");
+    ASSERT_EQ((*p0)->dims[c0].fk.get(),
+              (*p1)->dims[DimIndex(bound[1], "Cust")].fk.get());
+    cust_fk = (*p0)->dims[c0].fk;
+    // The shared FK resolutions are counted once, not per plan.
+    EXPECT_EQ(cache.bytes(), UniqueBytes({p0->get(), p1->get()}));
+    EXPECT_LT(cache.bytes(),
+              UniqueBytes({p0->get()}) + UniqueBytes({p1->get()}));
+    EXPECT_EQ(cache.GetStats().component_bytes,
+              cache.bytes() - (*p0)->OwnBytes() - (*p1)->OwnBytes());
+
+    // Evicting one holder keeps the shared component counted.
+    auto p2 = cache.GetOrCompile(bound[2]);
+    ASSERT_TRUE(p2.ok());
+    EXPECT_EQ(cache.GetStats().evictions, 1u);
+    EXPECT_EQ(cache.bytes(), UniqueBytes({p1->get(), p2->get()}));
+  }
+  // Evicting its last holder releases it: from the byte count, and — no
+  // plan referencing it any more — from memory.
+  auto p3 = cache.GetOrCompile(bound[3]);
+  ASSERT_TRUE(p3.ok());
+  EXPECT_EQ(cache.GetStats().evictions, 2u);
+  auto p2 = cache.GetOrCompile(bound[2]);  // a hit: still cached
+  ASSERT_TRUE(p2.ok());
+  EXPECT_EQ(cache.bytes(), UniqueBytes({p2->get(), p3->get()}));
+  EXPECT_TRUE(cust_fk.expired());
+
+  cache.Clear();
+  EXPECT_EQ(cache.bytes(), 0u);
+  EXPECT_EQ(cache.GetStats().component_bytes, 0u);
+}
+
+// SQL over the SSB star in the perfbench shapes: the analyst drill-downs
+// (grouped, multi-dimension, inexact double SUMs included) and the explore
+// grid of 8 predicate columns × 4 GROUP BYs × 3 aggregates.
+std::string SsbSql(const std::string& agg, const std::string& group,
+                   const std::vector<std::string>& dims,
+                   const std::vector<std::string>& preds) {
+  auto join_of = [](const std::string& dim) -> std::string {
+    if (dim == "Date") return "Lineorder.orderdate = Date.datekey";
+    if (dim == "Customer") return "Lineorder.custkey = Customer.custkey";
+    if (dim == "Supplier") return "Lineorder.suppkey = Supplier.suppkey";
+    return "Lineorder.partkey = Part.partkey";
+  };
+  std::string from;
+  std::string where;
+  for (const char* dim : {"Date", "Customer", "Part", "Supplier"}) {
+    if (std::find(dims.begin(), dims.end(), dim) == dims.end()) continue;
+    from += std::string(dim) + ", ";
+    where += (where.empty() ? "" : " AND ") + join_of(dim);
+  }
+  for (const std::string& p : preds) where += " AND " + p;
+  std::string sql = "SELECT " + agg + (group.empty() ? "" : ", " + group) +
+                    " FROM " + from + "Lineorder WHERE " + where;
+  if (!group.empty()) sql += " GROUP BY " + group + " ORDER BY " + group;
+  return sql + ";";
+}
+
+std::vector<std::string> SsbShapes() {
+  const std::string count = "count(*)";
+  const std::string sum = "sum(Lineorder.revenue)";
+  const std::string profit = "sum(Lineorder.revenue - Lineorder.supplycost)";
+  const std::string region = "'" + ssb::Regions()[1] + "'";
+  const std::string nation = "'" + ssb::Nations()[3] + "'";
+  const std::string mfgr = "'" + ssb::Mfgrs()[0] + "'";
+  const std::string category = "'" + ssb::Categories()[2] + "'";
+  const std::string years = "Date.year BETWEEN 1993 AND 1996";
+  std::vector<std::string> shapes = {
+      SsbSql(count, "", {"Date"}, {"Date.year = 1994"}),
+      SsbSql(sum, "", {"Date", "Part", "Supplier"},
+             {"Part.category = " + category, "Supplier.region = " + region}),
+      SsbSql(sum, "Date.year, Part.brand", {"Date", "Part", "Supplier"},
+             {"Part.category = " + category, "Supplier.region = " + region}),
+      SsbSql(profit, "Date.year, Part.category",
+             {"Date", "Customer", "Part", "Supplier"},
+             {"Customer.region = " + region, "Supplier.nation = " + nation,
+              years}),
+      SsbSql(sum, "Date.year, Part.brand", {"Date", "Part"}, {years}),
+      SsbSql(count, "Customer.nation", {"Date", "Customer"},
+             {"Customer.region = " + region, "Date.year = 1995"}),
+      SsbSql(sum, "Supplier.city", {"Date", "Supplier"},
+             {"Supplier.nation = " + nation, years}),
+      SsbSql(count, "Customer.region, Supplier.region",
+             {"Date", "Customer", "Supplier"}, {years}),
+  };
+  const std::vector<std::pair<std::string, std::string>> preds = {
+      {"Date", years},
+      {"Date", "Date.month = 4"},
+      {"Customer", "Customer.region = " + region},
+      {"Customer", "Customer.nation = " + nation},
+      {"Supplier", "Supplier.region = " + region},
+      {"Supplier", "Supplier.nation = " + nation},
+      {"Part", "Part.mfgr = " + mfgr},
+      {"Part", "Part.category = " + category},
+  };
+  const std::vector<std::pair<std::string, std::string>> groups = {
+      {"", ""}, {"Date", "Date.year"}, {"Customer", "Customer.region"},
+      {"Part", "Part.mfgr"}};
+  for (const auto& [pred_dim, pred] : preds) {
+    for (const auto& [group_dim, group] : groups) {
+      for (const std::string& agg : {count, sum, profit}) {
+        std::vector<std::string> dims = {pred_dim, "Date"};
+        if (!group_dim.empty()) dims.push_back(group_dim);
+        shapes.push_back(SsbSql(agg, group, dims,
+                                {pred, "Date.daynuminyear BETWEEN 30 AND 250"}));
+      }
+    }
+  }
+  return shapes;
+}
+
+TEST(PlanCacheTest, AssembledPlansAnswerLikeStandaloneCompilesOnSsbShapes) {
+  ssb::SsbOptions ssb_opts;
+  ssb_opts.scale_factor = 0.005;
+  auto catalog = ssb::GenerateSsb(ssb_opts);
+  ASSERT_TRUE(catalog.ok()) << catalog.status().ToString();
+  query::Binder binder(&*catalog);
+  // A quarter of the signatures fit: plans are evicted and reassembled from
+  // components that other cached plans still hold.
+  PlanCache cache(24);
+  exec::ExecutorOptions one;
+  one.exec_threads = 1;
+  exec::ExecutorOptions many;
+  many.exec_threads = 4;
+  many.morsel_size = 1024;  // several morsels per worker at this scale
+  const StarJoinExecutor executors[] = {StarJoinExecutor(one),
+                                        StarJoinExecutor(many)};
+
+  const std::vector<std::string> shapes = SsbShapes();
+  for (int pass = 0; pass < 2; ++pass) {
+    for (const std::string& sql : shapes) {
+      SCOPED_TRACE(sql);
+      auto bound = binder.BindSql(sql);
+      ASSERT_TRUE(bound.ok()) << bound.status().ToString();
+      auto assembled = cache.GetOrCompile(*bound);
+      auto standalone = ScanPlan::Compile(*bound);
+      ASSERT_TRUE(assembled.ok() && standalone.ok());
+      const ScanPlan& a = **assembled;
+      const ScanPlan& b = *standalone;
+      ASSERT_FALSE(a.requires_scalar());
+      EXPECT_EQ(a.codes(), b.codes());
+      EXPECT_EQ(a.weights(), b.weights());
+      EXPECT_EQ(a.run_offsets(), b.run_offsets());
+      EXPECT_EQ(a.sorted_weights(), b.sorted_weights());
+      EXPECT_EQ(a.group_labels(), b.group_labels());
+      EXPECT_EQ(a.label_of_code(), b.label_of_code());
+      ASSERT_EQ(a.dims.size(), b.dims.size());
+      for (size_t i = 0; i < a.dims.size(); ++i) {
+        EXPECT_EQ(a.fact_dim_row(i), b.fact_dim_row(i));
+        EXPECT_EQ(a.sorted_dim_row(i), b.sorted_dim_row(i));
+      }
+      for (const StarJoinExecutor& executor : executors) {
+        const PredicateOverrides none(bound->dims.size());
+        auto via_assembled = executor.Execute(*bound, none, a);
+        auto via_standalone = executor.Execute(*bound, none, b);
+        ASSERT_TRUE(via_assembled.ok() && via_standalone.ok());
+        ExpectBitIdentical(*via_standalone, *via_assembled);
+      }
+    }
+  }
+  const PlanCache::Stats stats = cache.GetStats();
+  EXPECT_GT(stats.evictions, 0u);
+  EXPECT_GT(stats.components_reused, stats.components_built);
 }
 
 TEST(PlanCacheTest, PlanPathDoesNotChangePmNoiseSemantics) {

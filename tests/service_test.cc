@@ -17,6 +17,7 @@
 #include "service/budget_ledger.h"
 #include "service/engine_pool.h"
 #include "service/query_service.h"
+#include "ssb/ssb_generator.h"
 #include "test_catalog.h"
 
 namespace dpstarj::service {
@@ -500,6 +501,63 @@ TEST_F(QueryServiceTest, ConcurrentSubmitsNeverOverspendATenant) {
   double spent = *svc.ledger().Spent("hot");
   EXPECT_LE(spent, kTotal + 1e-9);
   EXPECT_NEAR(spent, ok_count.load() * kEps, 1e-9);
+}
+
+TEST(QueryServiceCoalescingTest, IdenticalConcurrentMissesSpendAndDrawOnce) {
+  // An SSB instance big enough that an answer takes a while, so two
+  // submissions released together both miss the answer cache while the
+  // first is still running. Whatever the interleaving — both miss, or the
+  // second arrives after the first answer is stored — each distinct
+  // (query, ε, epoch) must be paid for once and drawn once, and both
+  // replies must be the same release.
+  ssb::SsbOptions ssb_opts;
+  ssb_opts.scale_factor = 0.01;
+  auto catalog = ssb::GenerateSsb(ssb_opts);
+  ASSERT_TRUE(catalog.ok()) << catalog.status().ToString();
+  ServiceOptions opts;
+  opts.num_engines = 2;
+  QueryService svc(&*catalog, opts);
+  ASSERT_TRUE(svc.RegisterTenant("a", 100.0).ok());
+  ASSERT_TRUE(svc.RegisterTenant("b", 100.0).ok());
+  const std::string sql =
+      "SELECT sum(Lineorder.revenue), Date.year FROM Date, Lineorder "
+      "WHERE Lineorder.orderdate = Date.datekey AND Date.month <= 6 "
+      "GROUP BY Date.year ORDER BY Date.year;";
+
+  constexpr int kRounds = 16;
+  double expected_spent = 0.0;
+  for (int round = 0; round < kRounds; ++round) {
+    const double eps = 0.1 + 0.01 * round;  // a fresh answer-cache key
+    std::promise<void> go;
+    std::shared_future<void> start = go.get_future().share();
+    auto submit = [&](const std::string& tenant) {
+      return std::async(std::launch::async, [&, tenant] {
+        start.wait();
+        return svc.Answer(sql, eps, tenant);
+      });
+    };
+    auto fa = submit("a");
+    auto fb = submit("b");
+    go.set_value();
+    auto ra = fa.get();
+    auto rb = fb.get();
+    ASSERT_TRUE(ra.ok()) << ra.status().ToString();
+    ASSERT_TRUE(rb.ok()) << rb.status().ToString();
+    EXPECT_EQ(ra->groups, rb->groups) << "round " << round;
+    EXPECT_EQ(ra->scalar, rb->scalar) << "round " << round;
+    expected_spent += eps;
+  }
+  // One spend per distinct key across both tenants (the second submitter
+  // of each round got its ε back) ...
+  EXPECT_NEAR(*svc.ledger().Spent("a") + *svc.ledger().Spent("b"),
+              expected_spent, 1e-9);
+  // ... and one noise draw: one answering miss per key, whose release the
+  // other submission replays.
+  const ServiceStats stats = svc.Stats();
+  EXPECT_EQ(stats.cache.misses, static_cast<uint64_t>(kRounds));
+  EXPECT_EQ(stats.cache.hits, static_cast<uint64_t>(kRounds));
+  EXPECT_EQ(stats.cache.insertions, static_cast<uint64_t>(kRounds));
+  EXPECT_EQ(stats.completed, static_cast<uint64_t>(2 * kRounds));
 }
 
 TEST_F(QueryServiceTest, ConcurrentMixedWorkloadAccountsExactly) {

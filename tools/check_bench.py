@@ -19,9 +19,8 @@ regressions that scaling governors can mask. Records where either side is 0
 Usage:
     tools/check_bench.py BASELINE.json CANDIDATE.json [--tolerance 0.5]
 
-Exit status 0 when every ratio holds, 1 otherwise. Both the current
-{"host": {...}, "records": [...]} format and the legacy flat-array format are
-accepted (the legacy format simply has no host block to print).
+Exit status 0 when every ratio holds, 1 otherwise. Both files use the
+{"host": {...}, "records": [...]} envelope.
 """
 
 import argparse
@@ -36,17 +35,13 @@ def load_records(path):
     cycles_per_row is 0.0 for records predating the counter columns."""
     with open(path) as f:
         doc = json.load(f)
-    if isinstance(doc, dict):
-        host, records = doc.get("host"), doc["records"]
-    else:  # legacy flat array
-        host, records = None, doc
     out = {}
-    for r in records:
+    for r in doc["records"]:
         out[(r["bench"], normalise(r["config"]))] = (
             float(r["rows_per_sec"]),
             float(r.get("cycles_per_row", 0.0)),
         )
-    return host, out
+    return doc.get("host"), out
 
 
 def normalise(config):

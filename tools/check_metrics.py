@@ -73,6 +73,9 @@ REQUIRED = [
     "dpstarj_ingest_api_duration_seconds",
     "dpstarj_plan_extends",
     "dpstarj_plan_recompiles",
+    "dpstarj_plan_components_built",
+    "dpstarj_plan_components_reused",
+    "dpstarj_plan_component_bytes",
 ]
 
 
