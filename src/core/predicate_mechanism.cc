@@ -102,8 +102,11 @@ std::vector<Result<exec::QueryResult>> PredicateMechanism::AnswerBatch(
     item_query.reserve(batch.size());
     for (size_t k = 0; k < batch.size(); ++k) {
       if (slots[k].has_value()) continue;
+      // The shared sweep never reads the run-sorted scaffold, so any cached
+      // plan serves and a miss compiles without it.
       Result<std::shared_ptr<const exec::ScanPlan>> plan =
-          plan_cache_->GetOrCompile(*batch[k].query, trace);
+          plan_cache_->GetOrCompile(*batch[k].query, trace,
+                                    exec::RunSort::kDefer);
       if (!plan.ok()) {
         slots[k] = plan.status();
         continue;

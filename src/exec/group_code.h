@@ -92,6 +92,9 @@ class GroupCodeLayout {
     return ordinal << shifts_[static_cast<size_t>(f)];
   }
 
+  /// Bit position of field f's lowest bit: Pack(f, o) == o << Shift(f).
+  int Shift(int f) const { return shifts_[static_cast<size_t>(f)]; }
+
   /// Recovers field f's ordinal from a packed code.
   uint64_t Extract(uint64_t code, int f) const {
     return (code >> shifts_[static_cast<size_t>(f)]) &

@@ -58,27 +58,39 @@ PlanCache::PlanCache(size_t capacity, size_t max_bytes)
     : capacity_(capacity), max_bytes_(max_bytes) {}
 
 Result<std::shared_ptr<const ScanPlan>> PlanCache::GetOrCompile(
-    const query::BoundQuery& q, obs::Trace* trace) {
+    const query::BoundQuery& q, obs::Trace* trace, RunSort runs) {
   const std::string key = PlanKey(q);
+  const bool need_runs = runs == RunSort::kBuild;
+  // A cached plan serves the caller when it is fresh and, for a caller that
+  // sweeps runs, carries them.
+  auto serves = [&](const ScanPlan& plan) {
+    return plan.Matches(q) && !(need_runs && plan.runs_deferred());
+  };
   std::shared_ptr<const ScanPlan> append_base;
+  std::shared_ptr<const ScanPlan> upgrade_base;
   {
     std::lock_guard<std::mutex> lock(mu_);
     auto it = index_.find(key);
     if (it != index_.end()) {
       std::shared_ptr<const ScanPlan> cached = it->second->second;
-      if (cached->Matches(q)) {
+      if (serves(*cached)) {
         lru_.splice(lru_.begin(), lru_, it->second);
         ++stats_.hits;
         if (trace != nullptr) trace->plan_cache_hit = true;
         return cached;
       }
-      // Stale. When only the fact table grew (streaming ingest), keep the
-      // entry for now — its scaffold is the input of the tail extension
-      // below, and a declined extension drops it then. Anything else is an
-      // identity invalidation: nothing is salvageable, drop immediately.
-      if (ScanPlan::IsAppendExtension(*cached, q)) {
+      if (cached->Matches(q)) {
+        // Fresh but compiled without runs, and this caller sweeps them: the
+        // upgrade below recompiles it with runs, reusing its components.
+        upgrade_base = std::move(cached);
+      } else if (ScanPlan::IsAppendExtension(*cached, q)) {
+        // Stale, but only the fact table grew (streaming ingest): keep the
+        // entry for now — its scaffold is the input of the tail extension
+        // below, and a declined extension drops it then.
         append_base = std::move(cached);
       } else {
+        // Anything else is an identity invalidation: nothing is
+        // salvageable, drop immediately.
         Drop(it->second);
         ++stats_.invalidations;
         ++stats_.invalidated_identity;
@@ -86,10 +98,11 @@ Result<std::shared_ptr<const ScanPlan>> PlanCache::GetOrCompile(
     }
   }
 
-  // Extend / compile outside the lock: both scan fact data and must not
-  // serialize concurrent engines behind the cache mutex.
+  // Upgrade / extend / compile outside the lock: all scan fact data and must
+  // not serialize concurrent engines behind the cache mutex.
   std::shared_ptr<const ScanPlan> plan;
   bool extended = false;
+  bool upgraded = false;
   // With caching disabled nothing is shared either: plans get private
   // components.
   ScaffoldInterner* interner = capacity_ == 0 ? nullptr : &interner_;
@@ -103,18 +116,24 @@ Result<std::shared_ptr<const ScanPlan>> PlanCache::GetOrCompile(
     // A declined extension (NotSupported: the tail does not splice) falls
     // through to a fresh compile; the entry is dropped below.
   }
-  if (!extended) {
+  if (plan == nullptr) plan = upgrade_base;
+  if (plan == nullptr || (need_runs && plan->runs_deferred())) {
+    // A run upgrade is a compile too: the run-less plan (held here) keeps
+    // its FK, weights and ordinal components interned, so the compile gets
+    // them back by pointer and builds only the runs.
+    upgraded = plan != nullptr;
     obs::ScopedStage compile_span(trace, obs::Stage::kPlanCompile);
-    DPSTARJ_ASSIGN_OR_RETURN(ScanPlan compiled, ScanPlan::Compile(q, interner));
+    DPSTARJ_ASSIGN_OR_RETURN(ScanPlan compiled,
+                             ScanPlan::Compile(q, interner, runs));
     plan = std::make_shared<const ScanPlan>(std::move(compiled));
   }
 
   std::lock_guard<std::mutex> lock(mu_);
-  if (extended) {
+  if (extended || upgraded) {
     // The scaffold was reused, so this is a hit for ratio purposes — just
     // one that produced a new shared plan object.
     ++stats_.hits;
-    ++stats_.extends;
+    if (extended) ++stats_.extends;
     if (trace != nullptr) trace->plan_cache_hit = true;
   } else {
     ++stats_.misses;
@@ -126,20 +145,25 @@ Result<std::shared_ptr<const ScanPlan>> PlanCache::GetOrCompile(
   if (capacity_ == 0) return plan;
   auto it = index_.find(key);
   if (it != index_.end()) {
-    // A racing insert landed first; keep ours only if theirs went stale.
-    if (it->second->second->Matches(q)) {
+    // A racing insert landed first; keep ours only if theirs does not serve.
+    const std::shared_ptr<const ScanPlan>& theirs = it->second->second;
+    if (serves(*theirs)) {
       lru_.splice(lru_.begin(), lru_, it->second);
-      return it->second->second;
+      return theirs;
     }
-    const bool replacing_base = it->second->second == append_base;
+    const bool replacing = theirs == append_base || theirs->Matches(q);
     Drop(it->second);
-    if (!replacing_base) {
+    if (!replacing) {
       // Someone else's entry went stale underneath us (not the append base
-      // we deliberately left in place) — account it like any invalidation.
+      // we deliberately left in place, nor a run-less plan we upgrade) —
+      // account it like any invalidation.
       ++stats_.invalidations;
       ++stats_.invalidated_identity;
     }
   }
+  // Counted only when this upgrade is the one published: a racing upgrade of
+  // the same entry returned above.
+  if (upgraded) ++stats_.run_upgrades;
   lru_.emplace_front(key, plan);
   index_[key] = lru_.begin();
   Account(*plan);

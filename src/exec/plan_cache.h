@@ -24,11 +24,21 @@
 //
 // Plans are assembled from shared scaffold components (exec/scaffold.h): the
 // cache owns the intern table, so a miss builds only the components no live
-// plan holds yet — FK resolutions, weights, codes and run-ordered arrays
+// plan holds yet — FK resolutions, weights, runs and run-ordered arrays
 // already built for another signature are picked up, not rebuilt. Likewise
 // an append extends each shared component once. The byte budget counts each
 // component once however many cached plans reference it; a component is
 // released when the last plan holding it is evicted.
+//
+// Plans keep only what their callers' sweeps read. A batch caller
+// (RunSort::kDefer — the Predicate Mechanism's shared-scan AnswerBatch)
+// takes any cached plan and compiles a miss without the run-sorted
+// scaffold: FK rows, weights and ordinals only. A single-query caller (the
+// default) never gets a run-less grouped plan: the first time one reaches a
+// cached run-less entry, the cache recompiles it with runs — the entry's
+// FK, weights and ordinal components come back from the intern table by
+// pointer, so only the runs are built — and replaces and re-accounts the
+// entry, as an extension does. Published plans are never mutated.
 
 #pragma once
 
@@ -61,11 +71,15 @@ class PlanCache {
 
   /// Hit/miss/invalidation accounting, as returned by GetStats().
   struct Stats {
-    uint64_t hits = 0;    ///< validated hits, extends included
+    uint64_t hits = 0;    ///< validated hits, extends and upgrades included
     uint64_t misses = 0;  ///< lookups that compiled a fresh plan
     /// Append-stale entries revalidated by ScanPlan::ExtendFrom (each also
     /// counts as a hit: the cached scaffold was reused, not recompiled).
     uint64_t extends = 0;
+    /// Run-less entries recompiled with their runs for a single-query
+    /// caller (each also counts as a hit). Two callers racing to upgrade one
+    /// entry may both build the runs; only the published upgrade counts.
+    uint64_t run_upgrades = 0;
     /// Stale entries dropped — always invalidated_append +
     /// invalidated_identity.
     uint64_t invalidations = 0;
@@ -106,12 +120,18 @@ class PlanCache {
   /// cache's intern table; those builds run outside the lock too, and the
   /// first of two racing builds of one component is the one kept.
   ///
-  /// A non-null `trace` gets `plan_cache_hit` set on a validated hit or a
-  /// successful extension, the extend span (obs::Stage::kPlanExtend)
-  /// recorded on the extension path, and the compile span
-  /// (obs::Stage::kPlanCompile) recorded on a miss.
+  /// `runs` says what the caller sweeps: kBuild (single queries) returns a
+  /// plan carrying its run-sorted scaffold whenever the plan can have one,
+  /// upgrading a cached run-less entry if needed; kDefer (batches) accepts
+  /// any plan and compiles a miss without runs.
+  ///
+  /// A non-null `trace` gets `plan_cache_hit` set on a validated hit, a
+  /// successful extension or a run upgrade, the extend span
+  /// (obs::Stage::kPlanExtend) recorded on the extension path, and the
+  /// compile span (obs::Stage::kPlanCompile) recorded on a miss or upgrade.
   Result<std::shared_ptr<const ScanPlan>> GetOrCompile(
-      const query::BoundQuery& q, obs::Trace* trace = nullptr);
+      const query::BoundQuery& q, obs::Trace* trace = nullptr,
+      RunSort runs = RunSort::kBuild);
 
   /// Drops every entry (stats are preserved).
   void Clear();

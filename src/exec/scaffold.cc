@@ -22,9 +22,8 @@ size_t OrdinalTable::ApproxBytes() const {
   return ordinals.capacity() * sizeof(int64_t);
 }
 
-size_t CodesComponent::ApproxBytes() const {
-  size_t bytes = codes.capacity() * sizeof(uint64_t) +
-                 run_offsets.capacity() * sizeof(int64_t) +
+size_t RunsComponent::ApproxBytes() const {
+  size_t bytes = run_offsets.capacity() * sizeof(int64_t) +
                  label_of_code.capacity() * sizeof(int32_t);
   for (const auto& s : group_labels) bytes += sizeof(s) + s.capacity();
   return bytes;

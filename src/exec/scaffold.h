@@ -5,18 +5,25 @@
 // is a pure function of a few inputs, and distinct plans very often agree on
 // those inputs: every query joining Customer on the same fact table resolves
 // the same FKs, every SUM(revenue) query carries the same weights, every
-// GROUP BY Date.year packs the same codes. So each array lives in its own
-// component, interned by exactly the inputs it is a function of:
+// GROUP BY Date.year sorts the fact rows into the same runs. So each array
+// lives in its own component, interned by exactly the inputs it is a
+// function of:
 //
 //   FkRowsComponent      (fact table, FK col, dimension table, PK col)
 //   WeightsComponent     (fact table, measure-term list)
 //   GroupOrdinals        (dimension table, group cols)
 //   OrdinalTable         (dimension table, column, domain)
-//   CodesComponent       (fact table, code layout, parts → their FK/group
-//                         components); carries the counting-sort runs and
+//   RunsComponent        (fact table, code layout, parts → their FK/group
+//                         components): the counting-sort run offsets and
 //                         the pre-rendered label table
-//   SortedRows           (codes component, FK component)
-//   SortedWeights        (codes component, weights component)
+//   SortedRows           (runs component, FK component)
+//   SortedWeights        (runs component, weights component)
+//
+// No component stores a per-row group code: a row's code is derived from
+// its FK rows and the group ordinals (exec/scan_plan.h RowCodes). The last
+// three components — the run-sorted scaffold — are only read by the
+// single-query run sweep, so a plan is built without them when its caller
+// never sweeps runs (see ScanPlan::Compile's RunSort).
 //
 // Every key names each table by identity *and* row count (tables are
 // append-only, so (object, rows) pins the exact data), and names input
@@ -93,12 +100,10 @@ struct OrdinalTable final : ScaffoldComponent {
   size_t ApproxBytes() const override;
 };
 
-/// \brief Pre-packed group code per fact row, plus — for dense code spaces —
-/// the counting-sort runs and the pre-rendered label table.
-struct CodesComponent final : ScaffoldComponent {
-  std::vector<uint64_t> codes;
-  /// code → begin of its run in run order (size code_space + 1); empty when
-  /// the code space exceeds the dense accumulator.
+/// \brief Counting-sort runs of the fact rows by group code, for dense code
+/// spaces, plus the pre-rendered label table.
+struct RunsComponent final : ScaffoldComponent {
+  /// code → begin of its run in run order (size code_space + 1).
   std::vector<int64_t> run_offsets;
   /// Sorted unique label of every code whose run is non-empty.
   std::vector<std::string> group_labels;
@@ -107,7 +112,7 @@ struct CodesComponent final : ScaffoldComponent {
   size_t ApproxBytes() const override;
 };
 
-/// \brief A per-fact-row array permuted into a codes component's run order.
+/// \brief A per-fact-row array permuted into a runs component's run order.
 template <typename T>
 struct SortedColumn final : ScaffoldComponent {
   std::vector<T> values;

@@ -89,12 +89,13 @@ std::string OrdinalKey(const storage::Table& dim, int col,
          DomainKey(domain);
 }
 
-// Codes (and runs and labels) are a function of the fact rows, the layout's
-// field widths, and each part's source: a dimension part's FK and group
-// components, or a fact column with its packing base.
-std::string CodesKey(const ScanPlan& plan, const query::BoundQuery& q,
-                     int64_t fact_rows) {
-  std::string key = "codes|" + TableKey(*q.fact, fact_rows) + "|";
+// Runs (and labels) are a function of the fact rows' group codes: of the
+// fact rows, the layout's field widths, and each part's source — a
+// dimension part's FK and group components, or a fact column with its
+// packing base.
+std::string RunsKey(const ScanPlan& plan, const query::BoundQuery& q,
+                    int64_t fact_rows) {
+  std::string key = "runs|" + TableKey(*q.fact, fact_rows) + "|";
   for (int f = 0; f < plan.layout.num_fields(); ++f) {
     key += Format("m%llx,", static_cast<unsigned long long>(
                                 plan.layout.FieldMask(f)));
@@ -114,9 +115,8 @@ std::string CodesKey(const ScanPlan& plan, const query::BoundQuery& q,
   return key;
 }
 
-std::string SortedKey(const char* kind, const void* codes,
-                      const void* source) {
-  return Format("%s|%p|%p", kind, codes, source);
+std::string SortedKey(const char* kind, const void* runs, const void* source) {
+  return Format("%s|%p|%p", kind, runs, source);
 }
 
 // Returns the interned component under `key`, building and publishing it
@@ -239,7 +239,7 @@ Result<std::shared_ptr<const WeightsComponent>> BuildWeights(
 // to its sentinel), so nothing is renderable — and its empty rep_rows must
 // not be indexed.
 void RenderRunLabels(const ScanPlan& plan, const query::BoundQuery& q,
-                     CodesComponent& out) {
+                     RunsComponent& out) {
   const int64_t space = static_cast<int64_t>(out.run_offsets.size()) - 1;
   bool renderable = true;
   for (const auto& part : plan.parts) {
@@ -288,72 +288,27 @@ void RenderRunLabels(const ScanPlan& plan, const query::BoundQuery& q,
   }
 }
 
-// Group codes of every fact row, plus the counting-sort run offsets and the
-// label table when the code space fits the dense accumulator. The plan's
-// layout, parts and dimension FK/group components must already be set.
-Result<std::shared_ptr<const CodesComponent>> BuildCodes(
-    const ScanPlan& plan, const query::BoundQuery& q,
-    const CodesComponent* base) {
-  auto out = std::make_shared<CodesComponent>();
+// Run offsets of a stable counting sort by group code, and the label table.
+// `codes` holds the group codes of the rows the build covers: every fact row
+// for a full build; only the appended tail when extending `base` (the runs
+// over the compiled rows). The plan's layout, parts and dimension FK/group
+// components must already be set.
+Result<std::shared_ptr<const RunsComponent>> BuildRuns(
+    const ScanPlan& plan, const query::BoundQuery& q, const RunsComponent* base,
+    const std::vector<uint32_t>& codes) {
+  auto out = std::make_shared<RunsComponent>();
   out->pins.push_back(q.fact);
   for (const PlanDim& pd : plan.dims) {
     if (pd.field < 0) continue;
     out->pins.push_back(pd.fk);
     out->pins.push_back(pd.group);
   }
-  int64_t begin = 0;
-  if (base != nullptr) {
-    out->codes = base->codes;
-    begin = static_cast<int64_t>(base->codes.size());
-  }
-  const int64_t end = plan.fact_rows();
-
-  // Pack the complete group code of every (tail) fact row: dimension ordinal
-  // fields (via the resolved row, 0 for absent FKs — such rows never pass)
-  // plus fact-side key fields.
-  out->codes.resize(static_cast<size_t>(end), 0);
-  for (const PlanDim& pd : plan.dims) {
-    if (pd.field < 0) continue;
-    const int32_t* rows = pd.fk->rows.data();
-    const int32_t* ordinals = pd.group->group_ordinal.data();
-    const int32_t sentinel = pd.num_rows;
-    for (int64_t r = begin; r < end; ++r) {
-      int32_t dr = rows[r];
-      if (dr == sentinel) continue;
-      out->codes[static_cast<size_t>(r)] |=
-          plan.layout.Pack(pd.field, static_cast<uint64_t>(ordinals[dr]));
-    }
-  }
-  for (const auto& part : plan.parts) {
-    if (part.dim_idx >= 0) continue;
-    const storage::Column& c = q.fact->column(part.col);
-    if (part.is_string) {
-      const int32_t* code = c.code_data().data();
-      for (int64_t r = begin; r < end; ++r) {
-        out->codes[static_cast<size_t>(r)] |=
-            plan.layout.Pack(part.field, static_cast<uint64_t>(code[r]));
-      }
-    } else {
-      const int64_t* i64 = c.int64_data().data();
-      for (int64_t r = begin; r < end; ++r) {
-        out->codes[static_cast<size_t>(r)] |= plan.layout.Pack(
-            part.field, static_cast<uint64_t>(i64[r] - part.base));
-      }
-    }
-  }
-  if (!plan.has_sorted_runs) {
-    return std::shared_ptr<const CodesComponent>(std::move(out));
-  }
-
-  // Run offsets of a stable counting sort by code. Extending: each code's
-  // run grows by its tail count, and the label table only changes when the
-  // tail populates a run that was empty (the table depends only on the set
-  // of non-empty runs).
+  // Extending: each code's run grows by its tail count, and the label table
+  // only changes when the tail populates a run that was empty (the table
+  // depends only on the set of non-empty runs).
   const size_t space = static_cast<size_t>(*plan.code_space);
   std::vector<int64_t> count(space, 0);
-  for (int64_t r = begin; r < end; ++r) {
-    ++count[static_cast<size_t>(out->codes[static_cast<size_t>(r)])];
-  }
+  for (uint32_t code : codes) ++count[code];
   bool populates_empty_run = base == nullptr;
   out->run_offsets.assign(space + 1, 0);
   for (size_t c = 0; c < space; ++c) {
@@ -370,7 +325,7 @@ Result<std::shared_ptr<const CodesComponent>> BuildCodes(
     out->group_labels = base->group_labels;
     out->label_of_code = base->label_of_code;
   }
-  return std::shared_ptr<const CodesComponent>(std::move(out));
+  return std::shared_ptr<const RunsComponent>(std::move(out));
 }
 
 // One run-ordered array to build: `src` is the per-fact-row source over all
@@ -383,6 +338,8 @@ struct SortJob {
 };
 
 // Builds every missing run-ordered array in one fused pass over the rows.
+// `codes` are the group codes of rows [n - codes.size(), n): every row for a
+// full build, the appended tail when extending `base`.
 //
 // Full build: a stable counting-sort scatter through per-code cursors.
 // Extension: each code's new run is its old run (rows already in scan
@@ -390,12 +347,12 @@ struct SortJob {
 // stable counting sort over all rows produces, since every tail row index
 // exceeds every compiled row index. The tail is counting-sorted on its own,
 // so the merge emits every element exactly once, strictly in run order.
-void FillSorted(const CodesComponent& codes, const CodesComponent* base,
+void FillSorted(const RunsComponent& runs, const RunsComponent* base,
+                int64_t n, const std::vector<uint32_t>& codes,
                 std::vector<SortJob<int32_t>>& rows,
                 std::vector<SortJob<double>>& weights) {
   if (rows.empty() && weights.empty()) return;
-  const size_t space = codes.run_offsets.size() - 1;
-  const int64_t n = static_cast<int64_t>(codes.codes.size());
+  const size_t space = runs.run_offsets.size() - 1;
   auto reserve = [n](auto& jobs) {
     for (auto& job : jobs) {
       if (job.old == nullptr) {
@@ -408,11 +365,11 @@ void FillSorted(const CodesComponent& codes, const CodesComponent* base,
   reserve(rows);
   reserve(weights);
   if (base == nullptr) {
-    std::vector<int64_t> cursor(codes.run_offsets.begin(),
-                                codes.run_offsets.end() - 1);
+    std::vector<int64_t> cursor(runs.run_offsets.begin(),
+                                runs.run_offsets.end() - 1);
     for (int64_t r = 0; r < n; ++r) {
-      const size_t pos = static_cast<size_t>(
-          cursor[static_cast<size_t>(codes.codes[static_cast<size_t>(r)])]++);
+      const size_t pos =
+          static_cast<size_t>(cursor[codes[static_cast<size_t>(r)]]++);
       for (auto& job : rows) {
         job.out->values[pos] = (*job.src)[static_cast<size_t>(r)];
       }
@@ -422,19 +379,16 @@ void FillSorted(const CodesComponent& codes, const CodesComponent* base,
     }
     return;
   }
-  const int64_t old_rows = static_cast<int64_t>(base->codes.size());
+  const int64_t old_rows = n - static_cast<int64_t>(codes.size());
   std::vector<int64_t> tail_begin(space + 1, 0);
-  for (int64_t r = old_rows; r < n; ++r) {
-    ++tail_begin[static_cast<size_t>(codes.codes[static_cast<size_t>(r)]) + 1];
-  }
+  for (uint32_t code : codes) ++tail_begin[code + 1];
   for (size_t c = 0; c < space; ++c) tail_begin[c + 1] += tail_begin[c];
-  std::vector<int64_t> tail_sorted(static_cast<size_t>(n - old_rows));
+  std::vector<int64_t> tail_sorted(codes.size());
   {
     std::vector<int64_t> cursor(tail_begin.begin(), tail_begin.end() - 1);
-    for (int64_t r = old_rows; r < n; ++r) {
-      const size_t code =
-          static_cast<size_t>(codes.codes[static_cast<size_t>(r)]);
-      tail_sorted[static_cast<size_t>(cursor[code]++)] = r;
+    for (size_t t = 0; t < codes.size(); ++t) {
+      tail_sorted[static_cast<size_t>(cursor[codes[t]]++)] =
+          old_rows + static_cast<int64_t>(t);
     }
   }
   auto merge_run = [&](auto& jobs, size_t c) {
@@ -458,23 +412,73 @@ void FillSorted(const CodesComponent& codes, const CodesComponent* base,
 
 }  // namespace
 
-// Assembles the run-ordered components of a plan whose codes, FK and weights
-// components are set: interned ones are looked up, the missing ones built in
-// one fused pass (extending `old`'s arrays when given) and then published.
-void ScanPlan::AssembleSorted(const ScanPlan* old, ScaffoldInterner* interner) {
+RowCodes::RowCodes(const ScanPlan& plan) {
+  for (const PlanDim& pd : plan.dims) {
+    if (pd.field < 0) continue;
+    DimField d;
+    d.rows = pd.fk->rows.data();
+    d.ordinals = pd.group->group_ordinal.data();
+    d.sentinel = pd.num_rows;
+    d.shift = plan.layout.Shift(pd.field);
+    dims_.push_back(d);
+  }
+  for (const auto& part : plan.parts) {
+    if (part.dim_idx >= 0) continue;
+    const storage::Column& c = plan.fact_table().column(part.col);
+    FactField f;
+    if (part.is_string) {
+      f.codes = c.code_data().data();
+    } else {
+      f.values = c.int64_data().data();
+      f.base = part.base;
+    }
+    f.shift = plan.layout.Shift(part.field);
+    facts_.push_back(f);
+  }
+}
+
+static_assert(GroupAccumulator::kDenseLimit <= (uint64_t{1} << 32),
+              "dense code spaces must fit the run build's uint32 codes");
+
+// Assembles the run-sorted components of a plan whose layout, FK, group and
+// weights components are set: interned ones are looked up, the missing ones
+// built (extending `old`'s arrays when given) and then published. The group
+// codes the builds sort by are derived once, for exactly the rows they
+// cover, and dropped afterwards.
+Status ScanPlan::AssembleRuns(const ScanPlan* old, const query::BoundQuery& q,
+                              ScaffoldInterner* interner) {
+  const int64_t begin = old != nullptr ? old->fact_rows_ : 0;
+  const RunsComponent* base = old != nullptr ? old->runs_.get() : nullptr;
+  std::vector<uint32_t> codes;  // rows [begin, fact_rows_); dense space < 2^32
+  bool derived = false;
+  auto derive_codes = [&] {
+    if (derived) return;
+    derived = true;
+    const RowCodes code_of(*this);
+    codes.reserve(static_cast<size_t>(fact_rows_ - begin));
+    for (int64_t r = begin; r < fact_rows_; ++r) {
+      codes.push_back(static_cast<uint32_t>(code_of(r)));
+    }
+  };
+  DPSTARJ_ASSIGN_OR_RETURN(
+      runs_, Intern<RunsComponent>(interner, RunsKey(*this, q, fact_rows_), [&] {
+        derive_codes();
+        return BuildRuns(*this, q, base, codes);
+      }));
+
   std::vector<SortJob<int32_t>> row_jobs;
   std::vector<std::string> row_keys;
   std::vector<size_t> row_dims;
   for (size_t i = 0; i < dims.size(); ++i) {
     PlanDim& pd = dims[i];
-    std::string key = SortedKey("srows", codes_.get(), pd.fk.get());
+    std::string key = SortedKey("srows", runs_.get(), pd.fk.get());
     if (interner != nullptr) pd.sorted = interner->Lookup<SortedRows>(key);
     if (pd.sorted != nullptr) continue;
     SortJob<int32_t> job;
     job.src = &pd.fk->rows;
     if (old != nullptr) job.old = &old->dims[i].sorted->values;
     job.out = std::make_shared<SortedRows>();
-    job.out->pins = {codes_, pd.fk};
+    job.out->pins = {runs_, pd.fk};
     row_jobs.push_back(std::move(job));
     row_keys.push_back(std::move(key));
     row_dims.push_back(i);
@@ -482,7 +486,7 @@ void ScanPlan::AssembleSorted(const ScanPlan* old, ScaffoldInterner* interner) {
   std::vector<SortJob<double>> weight_jobs;
   std::string weights_key;
   if (weights_ != nullptr) {
-    weights_key = SortedKey("sweights", codes_.get(), weights_.get());
+    weights_key = SortedKey("sweights", runs_.get(), weights_.get());
     if (interner != nullptr) {
       sorted_weights_ = interner->Lookup<SortedWeights>(weights_key);
     }
@@ -491,12 +495,14 @@ void ScanPlan::AssembleSorted(const ScanPlan* old, ScaffoldInterner* interner) {
       job.src = &weights_->weights;
       if (old != nullptr) job.old = &old->sorted_weights_->values;
       job.out = std::make_shared<SortedWeights>();
-      job.out->pins = {codes_, weights_};
+      job.out->pins = {runs_, weights_};
       weight_jobs.push_back(std::move(job));
     }
   }
-  FillSorted(*codes_, old != nullptr ? old->codes_.get() : nullptr, row_jobs,
-             weight_jobs);
+  if (!row_jobs.empty() || !weight_jobs.empty()) {
+    derive_codes();
+    FillSorted(*runs_, base, fact_rows_, codes, row_jobs, weight_jobs);
+  }
   for (size_t j = 0; j < row_jobs.size(); ++j) {
     std::shared_ptr<const SortedRows> built = std::move(row_jobs[j].out);
     dims[row_dims[j]].sorted =
@@ -509,10 +515,11 @@ void ScanPlan::AssembleSorted(const ScanPlan* old, ScaffoldInterner* interner) {
                           ? interner->Insert(weights_key, std::move(built))
                           : std::move(built);
   }
+  return Status::OK();
 }
 
 Result<ScanPlan> ScanPlan::Compile(const query::BoundQuery& q,
-                                   ScaffoldInterner* interner) {
+                                   ScaffoldInterner* interner, RunSort runs) {
   ScanPlan plan;
   plan.fact_ = q.fact;
   plan.fact_rows_ = q.fact->num_rows();
@@ -631,15 +638,6 @@ Result<ScanPlan> ScanPlan::Compile(const query::BoundQuery& q,
       return plan;
     }
     plan.code_space = plan.layout.CodeSpace();
-    // Run-sorted layout for dense code spaces: stable counting sort of fact
-    // rows by group code, so warm executions aggregate each group in one
-    // sequential sweep.
-    plan.has_sorted_runs = plan.code_space.has_value() &&
-                           *plan.code_space <= GroupAccumulator::kDenseLimit;
-    DPSTARJ_ASSIGN_OR_RETURN(
-        plan.codes_,
-        Intern<CodesComponent>(interner, CodesKey(plan, q, plan.fact_rows_),
-                               [&] { return BuildCodes(plan, q, nullptr); }));
   }
 
   if (!q.measure_cols.empty()) {
@@ -649,8 +647,19 @@ Result<ScanPlan> ScanPlan::Compile(const query::BoundQuery& q,
                                  [&] { return BuildWeights(q, nullptr, plan.fact_rows_); }));
   }
 
-  if (plan.has_sorted_runs) plan.AssembleSorted(nullptr, interner);
+  // Run-sorted layout for dense code spaces: stable counting sort of fact
+  // rows by group code, so warm executions aggregate each group in one
+  // sequential sweep.
+  if (runs == RunSort::kBuild && plan.runs_deferred()) {
+    plan.has_sorted_runs = true;
+    DPSTARJ_RETURN_NOT_OK(plan.AssembleRuns(nullptr, q, interner));
+  }
   return plan;
+}
+
+bool ScanPlan::runs_deferred() const {
+  return !has_sorted_runs && code_space.has_value() &&
+         *code_space <= GroupAccumulator::kDenseLimit;
 }
 
 bool ScanPlan::IsAppendExtension(const ScanPlan& old,
@@ -712,9 +721,10 @@ Result<ScanPlan> ScanPlan::ExtendFrom(const ScanPlan& old,
   }
 
   // The layout and every dimension-sized component (group ordinals, ordinal
-  // tables) carry over; the per-fact-row components are extended over the
-  // tail — or, when another plan already extended the same component for
-  // this append, picked up from the interner.
+  // tables) carry over; the per-fact-row components (and the runs, when the
+  // plan carries them) are extended over the tail — or, when another plan
+  // already extended the same component for this append, picked up from the
+  // interner.
   ScanPlan plan;
   plan.fact_ = old.fact_;
   plan.fact_rows_ = new_rows;
@@ -741,13 +751,6 @@ Result<ScanPlan> ScanPlan::ExtendFrom(const ScanPlan& old,
                    interner, FkKey(q, d, new_rows),
                    [&] { return BuildFkRows(q, d, from.fk.get(), new_rows); }));
   }
-  if (plan.grouped) {
-    DPSTARJ_ASSIGN_OR_RETURN(
-        plan.codes_,
-        Intern<CodesComponent>(interner, CodesKey(plan, q, new_rows), [&] {
-          return BuildCodes(plan, q, old.codes_.get());
-        }));
-  }
   if (old.weights_ != nullptr) {
     DPSTARJ_ASSIGN_OR_RETURN(
         plan.weights_,
@@ -755,7 +758,9 @@ Result<ScanPlan> ScanPlan::ExtendFrom(const ScanPlan& old,
           return BuildWeights(q, old.weights_.get(), new_rows);
         }));
   }
-  if (plan.has_sorted_runs) plan.AssembleSorted(&old, interner);
+  if (plan.has_sorted_runs) {
+    DPSTARJ_RETURN_NOT_OK(plan.AssembleRuns(&old, q, interner));
+  }
   return plan;
 }
 
@@ -767,7 +772,7 @@ std::vector<const ScaffoldComponent*> ScanPlan::Components() const {
     out.push_back(d.sorted.get());
     for (const auto& t : d.ordinal_tables) out.push_back(t.get());
   }
-  out.push_back(codes_.get());
+  out.push_back(runs_.get());
   out.push_back(weights_.get());
   out.push_back(sorted_weights_.get());
   out.erase(std::remove(out.begin(), out.end(), nullptr), out.end());
@@ -798,16 +803,12 @@ const std::vector<int32_t>& ScanPlan::sorted_dim_row(size_t i) const {
   return d.sorted != nullptr ? d.sorted->values : EmptyVector<int32_t>();
 }
 
-const std::vector<uint64_t>& ScanPlan::codes() const {
-  return codes_ != nullptr ? codes_->codes : EmptyVector<uint64_t>();
-}
-
 const std::vector<double>& ScanPlan::weights() const {
   return weights_ != nullptr ? weights_->weights : EmptyVector<double>();
 }
 
 const std::vector<int64_t>& ScanPlan::run_offsets() const {
-  return codes_ != nullptr ? codes_->run_offsets : EmptyVector<int64_t>();
+  return runs_ != nullptr ? runs_->run_offsets : EmptyVector<int64_t>();
 }
 
 const std::vector<double>& ScanPlan::sorted_weights() const {
@@ -816,12 +817,11 @@ const std::vector<double>& ScanPlan::sorted_weights() const {
 }
 
 const std::vector<std::string>& ScanPlan::group_labels() const {
-  return codes_ != nullptr ? codes_->group_labels
-                           : EmptyVector<std::string>();
+  return runs_ != nullptr ? runs_->group_labels : EmptyVector<std::string>();
 }
 
 const std::vector<int32_t>& ScanPlan::label_of_code() const {
-  return codes_ != nullptr ? codes_->label_of_code : EmptyVector<int32_t>();
+  return runs_ != nullptr ? runs_->label_of_code : EmptyVector<int32_t>();
 }
 
 bool ScanPlan::Matches(const query::BoundQuery& q) const {

@@ -9,28 +9,37 @@
 //     with referential misses mapped to a per-dimension sentinel row whose
 //     predicate bit is permanently 0 — the hash/offset-table probe of the
 //     fresh pipeline disappears entirely from the per-execution scan;
-//   * the GROUP BY code layout, the per-dimension group ordinals (assigned
-//     over *all* dimension rows, so they never shift when predicates move),
-//     and the fully pre-packed uint64 group code of every fact row;
+//   * the GROUP BY code layout and the per-dimension group ordinals
+//     (assigned over *all* dimension rows, so they never shift when
+//     predicates move). A fact row's packed group code is not stored: it is
+//     the OR of its dimensions' ordinal fields, looked up through its
+//     resolved FK rows, plus any fact-side key fields (RowCodes below) —
+//     and a sweep derives it only for the rows that pass;
 //   * the per-row aggregate weight (measure terms are fact columns);
 //   * memoized domain-ordinal tables for the query's predicate columns, the
-//     inputs of per-execution predicate evaluation.
+//     inputs of per-execution predicate evaluation;
+//   * for grouped queries over a dense code space, the *run-sorted*
+//     scaffold: the counting-sort run offsets, the pre-rendered label
+//     table, and the FK rows and weights permuted into run order. Only the
+//     single-query run sweep reads it, so a caller that never sweeps runs
+//     (the shared-scan WorkloadPlan) compiles without it
+//     (RunSort::kDefer); compiling the same query again with kBuild adds
+//     it, reusing every interned component.
 //
 // What remains per execution is the cheap part: one *predicate bitmap* per
 // dimension — bit r = "dimension row r passes every effective predicate" —
 // built from the ordinal tables with branchless, autovectorizable compares
 // and packed into uint64 words, then a fact scan that is just gathers into
-// those bitmaps plus the pre-packed code/weight arrays.
+// those bitmaps plus the weight array (and group ordinals for passing rows).
 //
 // The scaffold arrays are not owned by the plan: each lives in an immutable
 // scaffold component (exec/scaffold.h) interned by exactly the inputs it is
 // a function of, so plans that agree on those inputs share one copy — two
 // signatures joining the same dimension share its FK resolution, two SUMs
 // over the same measure share its weights, two GROUP BYs over the same
-// layout share codes, runs and labels. A plan is a small bundle of
-// references to its components plus the per-query layout. Footprint is
-// therefore counted per *component*: see ScanPlan::Components and
-// PlanCache::bytes().
+// layout share runs and labels. A plan is a small bundle of references to
+// its components plus the per-query layout. Footprint is therefore counted
+// per *component*: see ScanPlan::Components and PlanCache::bytes().
 //
 // Plans are immutable after Compile and safe to share across threads; see
 // exec/plan_cache.h for the canonical-keyed cache with invalidation, which
@@ -94,6 +103,15 @@ struct PlanLabelPart {
   int64_t base = 0;        ///< fact int64 parts: ordinal = value - base
 };
 
+/// \brief Whether a compile builds the run-sorted scaffold of a grouped,
+/// dense-code-space plan. Plans without it answer correctly everywhere (the
+/// single-query executor falls back to its probing sweep), but the single-
+/// query path gets its speed and row-order per-group sums from the runs.
+enum class RunSort {
+  kBuild,  ///< build the runs now (single-query callers)
+  kDefer,  ///< leave them out; a later kBuild compile adds them
+};
+
 /// \brief Compiled scaffold of one bound star-join query.
 class ScanPlan {
  public:
@@ -103,8 +121,11 @@ class ScanPlan {
   /// With an `interner`, every component is first looked up by its key and
   /// only the missing ones are built (and published there); without one the
   /// plan builds private components. Either way the arrays are identical.
+  /// `runs` = kDefer skips the run-sorted scaffold (has_sorted_runs stays
+  /// false, runs_deferred() is true for plans that could carry it).
   static Result<ScanPlan> Compile(const query::BoundQuery& q,
-                                  ScaffoldInterner* interner = nullptr);
+                                  ScaffoldInterner* interner = nullptr,
+                                  RunSort runs = RunSort::kBuild);
 
   /// \brief True when the plan was compiled against exactly the tables (by
   /// identity *and* row count — tables are append-only) and the aggregate
@@ -118,10 +139,11 @@ class ScanPlan {
   static bool IsAppendExtension(const ScanPlan& old, const query::BoundQuery& q);
 
   /// \brief Compiles a plan for `q` by extending `old` over the fact table's
-  /// appended tail only: FK resolution, group-code packing, and weights run
-  /// over rows [old.fact_rows(), q.fact->num_rows()), and the tail is spliced
-  /// into the counting-sort runs. Dimension-sized components (group
-  /// ordinals, ordinal tables) carry over unchanged. Because the sort is
+  /// appended tail only: FK resolution and weights run over rows
+  /// [old.fact_rows(), q.fact->num_rows()), and — when `old` carries runs —
+  /// the tail's derived group codes are spliced into the counting-sort runs
+  /// (a plan without runs extends to a plan without runs). Dimension-sized
+  /// components (group ordinals, ordinal tables) carry over unchanged. Because the sort is
   /// stable and every tail row index exceeds every compiled row index, the
   /// result is bit-identical to a fresh Compile on the grown table
   /// (tests/ingest_test.cc asserts this over randomized append schedules).
@@ -134,6 +156,10 @@ class ScanPlan {
   static Result<ScanPlan> ExtendFrom(const ScanPlan& old,
                                      const query::BoundQuery& q,
                                      ScaffoldInterner* interner = nullptr);
+
+  /// True when the plan could carry the run-sorted scaffold (grouped, dense
+  /// code space) but was compiled without it.
+  bool runs_deferred() const;
 
   /// The GROUP BY key set could not be packed into a 64-bit code; execution
   /// must take the scalar pipeline (no scaffold is built in this case).
@@ -157,18 +183,17 @@ class ScanPlan {
   const std::vector<int32_t>& fact_dim_row(size_t i) const {
     return dims[i].fk->rows;
   }
-  /// Pre-packed group code per fact row (empty when !grouped).
-  const std::vector<uint64_t>& codes() const;
   /// Per-row aggregate weight (empty = COUNT, weight 1.0).
   const std::vector<double>& weights() const;
 
   /// Run-sorted scaffold, built for grouped queries whose code space fits the
-  /// dense accumulator: fact rows stably partitioned by group code (counting
-  /// sort, so rows stay in scan order within a run). The warm scan then
-  /// sweeps each code's run once and emits one aggregate per group —
-  /// sequential accumulator writes instead of a random read-modify-write per
-  /// fact row, and per-group sums that associate in row order (the
-  /// single-thread fresh-build order) at *any* worker count.
+  /// dense accumulator unless the compile deferred it: fact rows stably
+  /// partitioned by group code (counting sort, so rows stay in scan order
+  /// within a run). The warm scan then sweeps each code's run once and
+  /// emits one aggregate per group — sequential accumulator writes instead
+  /// of a random read-modify-write per fact row, and per-group sums that
+  /// associate in row order (the single-thread fresh-build order) at *any*
+  /// worker count.
   bool has_sorted_runs = false;
   /// code → begin of its run in the sorted arrays (size code_space + 1).
   const std::vector<int64_t>& run_offsets() const;
@@ -188,16 +213,20 @@ class ScanPlan {
   const std::vector<int32_t>& label_of_code() const;
 
   int64_t fact_rows() const { return fact_rows_; }
+  /// The fact table the plan was compiled against.
+  const storage::Table& fact_table() const { return *fact_; }
 
  private:
-  // Sets dims[i].sorted and sorted_weights_ once codes_, the FK components
-  // and weights_ are in place; `old` is the plan being extended, if any.
-  void AssembleSorted(const ScanPlan* old, ScaffoldInterner* interner);
+  // Sets runs_, dims[i].sorted and sorted_weights_ once the layout, the FK
+  // and group components and weights_ are in place; `old` is the plan being
+  // extended (it carries runs), if any.
+  Status AssembleRuns(const ScanPlan* old, const query::BoundQuery& q,
+                      ScaffoldInterner* interner);
 
   bool requires_scalar_ = false;
 
   // Plan-wide components (per-dimension ones live in `dims`).
-  std::shared_ptr<const CodesComponent> codes_;
+  std::shared_ptr<const RunsComponent> runs_;
   std::shared_ptr<const WeightsComponent> weights_;
   std::shared_ptr<const SortedWeights> sorted_weights_;
 
@@ -208,6 +237,54 @@ class ScanPlan {
   std::vector<int64_t> dim_rows_;
   std::vector<std::pair<int, double>> measure_cols_;
   std::vector<std::pair<int, int>> group_key_layout_;
+};
+
+/// \brief The packed group code of any fact row of a grouped, non-scalar
+/// plan, derived on demand: the OR of every grouped dimension's ordinal
+/// field, looked up through the row's resolved FK (an absent FK contributes
+/// 0), and every fact-side key field, read from the fact column. Sweeps call
+/// it only for rows that pass — whose FK entries the verdict gather has
+/// just streamed — and the run build calls it once per row.
+///
+/// Holds raw pointers into the plan's components and the fact table's
+/// columns: valid while the plan lives and the fact table is not appended
+/// to (scans hold the table's shared lock).
+class RowCodes {
+ public:
+  explicit RowCodes(const ScanPlan& plan);
+
+  uint64_t operator()(int64_t row) const {
+    uint64_t code = 0;
+    for (const DimField& d : dims_) {
+      const int32_t dr = d.rows[row];
+      const uint64_t ordinal =
+          dr == d.sentinel ? 0 : static_cast<uint64_t>(d.ordinals[dr]);
+      code |= ordinal << d.shift;
+    }
+    for (const FactField& f : facts_) {
+      const uint64_t ordinal =
+          f.codes != nullptr ? static_cast<uint64_t>(f.codes[row])
+                             : static_cast<uint64_t>(f.values[row] - f.base);
+      code |= ordinal << f.shift;
+    }
+    return code;
+  }
+
+ private:
+  struct DimField {
+    const int32_t* rows = nullptr;      ///< fact row → dimension row
+    const int32_t* ordinals = nullptr;  ///< dimension row → group ordinal
+    int32_t sentinel = 0;               ///< absent-FK dimension row
+    int shift = 0;
+  };
+  struct FactField {
+    const int32_t* codes = nullptr;   ///< dictionary codes (string parts)
+    const int64_t* values = nullptr;  ///< int64 parts: ordinal = value - base
+    int64_t base = 0;
+    int shift = 0;
+  };
+  std::vector<DimField> dims_;
+  std::vector<FactField> facts_;
 };
 
 /// \brief Builds one dimension's per-execution predicate bitmap: bit r = row

@@ -4,6 +4,7 @@
 #include <cstring>
 #include <map>
 #include <memory>
+#include <optional>
 #include <thread>
 #include <unordered_map>
 
@@ -630,12 +631,12 @@ Result<QueryResult> StarJoinExecutor::Execute(const query::BoundQuery& q,
   const bool strict = options_.strict_integrity;
   const bool is_avg = q.query.aggregate == query::AggregateKind::kAvg;
 
-  // ---- run-sorted fast path (grouped, dense code space, non-strict): sweep
-  // each group's pre-partitioned run once and emit a single aggregate into
-  // its pre-rendered label slot — sequential reads, no random accumulator
-  // traffic, and no string work at all. Per-group sums associate in row
-  // order, so results are identical at every worker count for exact
-  // aggregates and reproducible for inexact ones.
+  // ---- run-sorted fast path (grouped, dense code space, runs built,
+  // non-strict): sweep each group's pre-partitioned run once and emit a
+  // single aggregate into its pre-rendered label slot — sequential reads, no
+  // random accumulator traffic, and no string work at all. Per-group sums
+  // associate in row order, so results are identical at every worker count
+  // for exact aggregates and reproducible for inexact ones.
   if (grouped && plan.has_sorted_runs && !strict) {
     const int64_t code_space = static_cast<int64_t>(*plan.code_space);
     const size_t num_labels = plan.group_labels().size();
@@ -758,12 +759,14 @@ Result<QueryResult> StarJoinExecutor::Execute(const query::BoundQuery& q,
     active_words.push_back(pass_words[i]);
   }
   const size_t active_dims = active_rows.size();
-  const uint64_t* codes = plan.codes().data();
   const double* weights = plan.weights().empty() ? nullptr : plan.weights().data();
+  std::optional<RowCodes> code_of;
+  if (grouped) code_of.emplace(plan);
 
   // The scan is pure gathers: resolved dimension rows index into the pass
-  // bitmaps (an absent FK hits the sentinel bit, which is always 0), and the
-  // group code and weight are pre-packed per row. Strict mode takes a
+  // bitmaps (an absent FK hits the sentinel bit, which is always 0), the
+  // weight is pre-computed per row, and a passing row's group code is
+  // derived from the FK rows the gather just read. Strict mode takes a
   // separate branchy loop because it must distinguish "absent" from
   // "filtered" at the exact (row, dimension) the fresh pipeline would.
   auto scan = [&](int worker, int64_t begin, int64_t end) {
@@ -790,7 +793,7 @@ Result<QueryResult> StarJoinExecutor::Execute(const query::BoundQuery& q,
           p.scalar += w;
           p.rows += 1;
         } else {
-          p.groups->Add(codes[row], w);
+          p.groups->Add((*code_of)(row), w);
         }
       }
       return;
@@ -833,7 +836,7 @@ Result<QueryResult> StarJoinExecutor::Execute(const query::BoundQuery& q,
         const int bit = __builtin_ctzll(m);
         m &= m - 1;
         const int64_t r = row + bit;
-        p.groups->Add(codes[r], weights != nullptr ? weights[r] : 1.0);
+        p.groups->Add((*code_of)(r), weights != nullptr ? weights[r] : 1.0);
       }
     }
   };

@@ -76,7 +76,8 @@ class StarJoinExecutor {
 
   /// \brief Evaluates against a pre-compiled ScanPlan (see exec/scan_plan.h):
   /// only the per-dimension predicate bitmaps are rebuilt, and the fact scan
-  /// is gathers into them plus the plan's pre-packed codes and weights — the
+  /// is gathers into them plus the plan's weights (and, for passing rows of
+  /// grouped queries, group ordinals or the run-sorted arrays) — the
   /// repeated-noisy-execution fast path of the Predicate Mechanism. The plan
   /// must have been compiled for `q`'s tables (checked; a stale plan is
   /// refused rather than silently mis-answered).

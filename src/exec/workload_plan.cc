@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <optional>
 #include <tuple>
 
 #include "common/string_util.h"
@@ -264,7 +265,7 @@ Result<std::vector<QueryResult>> WorkloadPlan::Execute(
     // Item node lists flattened for a tight inner loop.
     std::vector<size_t> item_node_begin(num_items + 1, 0);
     std::vector<uint32_t> item_nodes;
-    std::vector<const uint64_t*> item_codes(num_items, nullptr);
+    std::vector<std::optional<RowCodes>> item_codes(num_items);
     std::vector<const double*> item_weights(num_items, nullptr);
     std::vector<uint8_t> item_grouped(num_items, 0);
     for (size_t j = 0; j < num_items; ++j) {
@@ -273,7 +274,7 @@ Result<std::vector<QueryResult>> WorkloadPlan::Execute(
       item_node_begin[j] = item_nodes.size();
       item_nodes.insert(item_nodes.end(), w.nodes.begin(), w.nodes.end());
       item_grouped[j] = it.plan->grouped ? 1 : 0;
-      if (it.plan->grouped) item_codes[j] = it.plan->codes().data();
+      if (it.plan->grouped) item_codes[j].emplace(*it.plan);
       if (!it.plan->weights().empty()) item_weights[j] = it.plan->weights().data();
     }
     item_node_begin[num_items] = item_nodes.size();
@@ -299,10 +300,13 @@ Result<std::vector<QueryResult>> WorkloadPlan::Execute(
     // deduped node probes its bitmap ONCE per row (this is where the CSE
     // pays at scan time, not just at build time) and packs the verdicts
     // into uint64 words. Combining an item's nodes is then one AND per 64
-    // rows, counts reduce to popcounts, and non-count accumulation walks
+    // rows; ungrouped items accumulate once per word, exactly like the
+    // single-query probing sweep (popcount for rows, sum_span for full
+    // words, an ascending masked sum otherwise), and grouped items walk
     // only the PASSING rows via count-trailing-zeros — in ascending row
-    // order, so merged results stay deterministic and (for exact
-    // aggregates) bit-identical to the single-query path.
+    // order, deriving each row's group code from the FK rows the verdict
+    // gather just streamed. Merged results stay deterministic and (for
+    // exact aggregates) bit-identical to the single-query path.
     constexpr int64_t kBlock = 1024;
     constexpr int kWordsPerBlock = static_cast<int>(kBlock / 64);
     std::vector<std::vector<uint64_t>> verdict_scratch(
@@ -403,26 +407,25 @@ Result<std::vector<QueryResult>> WorkloadPlan::Execute(
                             + wi];
             }
             if (pw == 0) continue;
-            if (!grouped && weights == nullptr) {
-              // Exact count: integer-valued sums commute bit-exactly, so a
-              // word subtotal is safe.
+            const int64_t base = b0 + i0;
+            if (!grouped) {
               const int cnt = __builtin_popcountll(pw);
-              p.scalar += static_cast<double>(cnt);
               p.rows += cnt;
+              if (weights == nullptr) {
+                p.scalar += static_cast<double>(cnt);
+              } else {
+                p.scalar += cnt == nbits
+                                ? kern.sum_span(weights + base, nbits)
+                                : kernels::SumMaskedAscending(weights, base, pw);
+              }
               continue;
             }
-            const int64_t base = b0 + i0;
+            const RowCodes& code_of = *item_codes[j];
             do {
               const int bit = __builtin_ctzll(pw);
               pw &= pw - 1;
               const int64_t row = base + bit;
-              const double w = weights != nullptr ? weights[row] : 1.0;
-              if (grouped) {
-                p.groups->Add(item_codes[j][row], w);
-              } else {
-                p.scalar += w;
-                p.rows += 1;
-              }
+              p.groups->Add(code_of(row), weights != nullptr ? weights[row] : 1.0);
             } while (pw != 0);
           }
         }

@@ -287,6 +287,8 @@ Json ServiceStatsToJson(const service::ServiceStats& stats) {
   plans.Set("misses", Json::Number(static_cast<double>(stats.plan_cache.misses)));
   plans.Set("extends",
             Json::Number(static_cast<double>(stats.plan_cache.extends)));
+  plans.Set("run_upgrades",
+            Json::Number(static_cast<double>(stats.plan_cache.run_upgrades)));
   plans.Set("invalidations",
             Json::Number(static_cast<double>(stats.plan_cache.invalidations)));
   plans.Set("invalidated_append", Json::Number(static_cast<double>(
@@ -389,6 +391,10 @@ Router MakeServiceRouter(service::QueryService* service, ApiOptions options) {
                   "Append-stale cached plans revalidated by incremental "
                   "tail extension instead of a recompile")
         ->Set(static_cast<double>(stats.plan_cache.extends));
+    reg->GetGauge("dpstarj_plan_run_upgrades_total",
+                  "Run-less cached plans given their run-sorted scaffold for "
+                  "a single-query caller")
+        ->Set(static_cast<double>(stats.plan_cache.run_upgrades));
     reg->GetGauge("dpstarj_plan_recompiles",
                   "Plan-cache lookups that compiled a fresh plan")
         ->Set(static_cast<double>(stats.plan_cache.misses));

@@ -49,7 +49,7 @@ std::string ServiceStats::ToString() const {
       "workloads: %llu batches (%llu fresh / %llu cached / %llu failed) | "
       "ingest: %llu batches / %llu rows | "
       "cache: %llu hits / %llu misses (%.1f%% hit rate), eps saved %.4g | "
-      "plans: %llu hits / %llu misses (%llu extended), "
+      "plans: %llu hits / %llu misses (%llu extended, %llu run upgrades), "
       "%llu invalidated (%llu append / %llu identity), "
       "components %llu built / %llu reused",
       static_cast<unsigned long long>(submitted),
@@ -69,6 +69,7 @@ std::string ServiceStats::ToString() const {
       cache.epsilon_saved, static_cast<unsigned long long>(plan_cache.hits),
       static_cast<unsigned long long>(plan_cache.misses),
       static_cast<unsigned long long>(plan_cache.extends),
+      static_cast<unsigned long long>(plan_cache.run_upgrades),
       static_cast<unsigned long long>(plan_cache.invalidations),
       static_cast<unsigned long long>(plan_cache.invalidated_append),
       static_cast<unsigned long long>(plan_cache.invalidated_identity),

@@ -3,9 +3,10 @@
 // indistinguishable from tearing everything down and rebuilding.
 //
 //   * ScanPlan::ExtendFrom vs a fresh Compile over randomized append
-//     schedules × query shapes: every scaffold array (FK resolution, packed
-//     codes, weights, counting-sort runs, rendered labels) bit-identical,
-//     and cold/warm execution of both plans bit-identical.
+//     schedules × query shapes: every scaffold array (FK resolution, derived
+//     group codes, weights, counting-sort runs, rendered labels)
+//     bit-identical, and cold/warm execution of both plans bit-identical —
+//     for plans compiled with their runs and without them.
 //   * DataCube::AppendRows vs a fresh sequential Build: totals, marginals
 //     and weighted evaluations exactly equal.
 //   * QueryService::Ingest: one epoch bump per accepted batch, all-or-nothing
@@ -32,7 +33,6 @@
 #include "common/random.h"
 #include "common/string_util.h"
 #include "exec/data_cube.h"
-#include "exec/plan_cache.h"
 #include "exec/plan_cache.h"
 #include "exec/scan_plan.h"
 #include "exec/star_join_executor.h"
@@ -106,6 +106,16 @@ void ExpectBitIdentical(const QueryResult& expected, const QueryResult& got) {
   }
 }
 
+// The derived group code of every fact row, in row order (empty when the
+// plan is ungrouped).
+std::vector<uint64_t> DerivedCodes(const ScanPlan& plan) {
+  std::vector<uint64_t> codes;
+  if (!plan.grouped) return codes;
+  const exec::RowCodes code_of(plan);
+  for (int64_t r = 0; r < plan.fact_rows(); ++r) codes.push_back(code_of(r));
+  return codes;
+}
+
 // Every public scaffold array of the two plans, field by field. `where`
 // identifies the (shape, seed, batch) combination on failure.
 void ExpectSamePlan(const ScanPlan& fresh, const ScanPlan& ext,
@@ -115,7 +125,7 @@ void ExpectSamePlan(const ScanPlan& fresh, const ScanPlan& ext,
   EXPECT_EQ(fresh.fact_rows(), ext.fact_rows());
   EXPECT_EQ(fresh.grouped, ext.grouped);
   EXPECT_EQ(fresh.code_space, ext.code_space);
-  EXPECT_EQ(fresh.codes(), ext.codes());
+  EXPECT_EQ(DerivedCodes(fresh), DerivedCodes(ext));
   EXPECT_EQ(fresh.weights(), ext.weights());
   EXPECT_EQ(fresh.has_sorted_runs, ext.has_sorted_runs);
   EXPECT_EQ(fresh.run_offsets(), ext.run_offsets());
@@ -253,21 +263,120 @@ TEST(IngestEquivalenceTest, SharedComponentExtendsMatchFreshCompile) {
       }
       if (batch + 1 < kBatches) continue;
       // After the last append every shape sits at the same row count, and
-      // the sharers still share: one Cust FK resolution, one codes array
-      // for the two (Cust.region, Prod.cat) layouts.
+      // the sharers still share: one Cust FK resolution, one runs component
+      // for the two (Cust.region, Prod.cat) layouts, whose rows derive the
+      // same codes.
       const ScanPlan* first = plans[0].get();
       for (size_t shape = 1; shape < shapes.size(); ++shape) {
         EXPECT_EQ(plans[shape]->fact_dim_row(0).data(),
                   first->fact_dim_row(0).data())
             << "shape " << shape;
       }
-      EXPECT_EQ(plans[1]->codes().data(), plans[4]->codes().data());
+      ASSERT_TRUE(plans[1]->has_sorted_runs);
+      EXPECT_EQ(plans[1]->run_offsets().data(), plans[4]->run_offsets().data());
+      EXPECT_EQ(DerivedCodes(*plans[1]), DerivedCodes(*plans[4]));
     }
     const exec::PlanCache::Stats stats = cache.GetStats();
     EXPECT_EQ(stats.misses, shapes.size());
     EXPECT_EQ(stats.invalidations, 0u);
     EXPECT_GE(stats.extends, shapes.size());
     EXPECT_GT(stats.components_reused, 0u);
+  }
+}
+
+TEST(IngestEquivalenceTest, RunLessAndRunCarryingPlansOfOneSignatureExtend) {
+  // One grouped signature, compiled both ways: a run-less plan extends to a
+  // run-less plan (FK rows, weights and derived codes equal to a fresh
+  // compile's); a run-carrying plan splices the tail into its runs. Through
+  // a PlanCache, a batch lookup extends the run-less entry and a later
+  // single query upgrades the extension once, keeping its extended FK and
+  // weights components and gaining runs identical to a fresh compile's.
+  for (const auto& shape : {ToyGroupedQuery(), ToyFactGroupedQuery(),
+                            ToyMultiMeasureQuery()}) {
+    SCOPED_TRACE(shape.name);
+    storage::Catalog catalog = MakeToyCatalog();
+    query::Binder binder(&catalog);
+    StarJoinExecutor executor;
+    exec::PlanCache cache;
+    auto orders = catalog.GetTable("Orders");
+    ASSERT_TRUE(orders.ok());
+    auto bound = binder.Bind(shape);
+    ASSERT_TRUE(bound.ok()) << bound.status().ToString();
+    auto run_less = ScanPlan::Compile(*bound, nullptr, exec::RunSort::kDefer);
+    auto with_runs = ScanPlan::Compile(*bound);
+    ASSERT_TRUE(run_less.ok() && with_runs.ok());
+    ASSERT_TRUE(run_less->runs_deferred());
+    ASSERT_TRUE(with_runs->has_sorted_runs);
+    ASSERT_TRUE(
+        cache.GetOrCompile(*bound, nullptr, exec::RunSort::kDefer).ok());
+    std::shared_ptr<const ScanPlan> last_batch;
+
+    Rng rng(4242);
+    for (int batch = 0; batch < 3; ++batch) {
+      for (int64_t r = 0, n = rng.UniformInt(1, 8); r < n; ++r) {
+        ASSERT_TRUE((*orders)->AppendRow(RandomOrdersRow(&rng)).ok());
+      }
+      auto grown = binder.Bind(shape);
+      ASSERT_TRUE(grown.ok());
+      const std::string where = Format("batch=%d", batch);
+      auto fresh = ScanPlan::Compile(*grown);
+      ASSERT_TRUE(fresh.ok());
+
+      auto ext_less = ScanPlan::ExtendFrom(*run_less, *grown);
+      auto ext_runs = ScanPlan::ExtendFrom(*with_runs, *grown);
+      ASSERT_TRUE(ext_less.ok() && ext_runs.ok());
+      ExpectSamePlan(*fresh, *ext_runs, where + " run-carrying");
+      EXPECT_TRUE(ext_less->runs_deferred());
+      EXPECT_TRUE(ext_less->run_offsets().empty());
+      EXPECT_TRUE(ext_less->sorted_weights().empty());
+      EXPECT_EQ(DerivedCodes(*fresh), DerivedCodes(*ext_less));
+      EXPECT_EQ(fresh->weights(), ext_less->weights());
+      for (size_t i = 0; i < fresh->dims.size(); ++i) {
+        EXPECT_EQ(fresh->fact_dim_row(i), ext_less->fact_dim_row(i));
+        EXPECT_TRUE(ext_less->sorted_dim_row(i).empty());
+      }
+      // Both extensions answer like the planless pipeline.
+      auto baseline = executor.Execute(*grown);
+      ASSERT_TRUE(baseline.ok());
+      for (const ScanPlan* plan : {&*ext_less, &*ext_runs}) {
+        auto via = executor.Execute(
+            *grown, PredicateOverrides(grown->dims.size()), *plan);
+        ASSERT_TRUE(via.ok());
+        ExpectBitIdentical(*baseline, *via);
+      }
+
+      // The cache: a batch extends its run-less entry without runs...
+      auto batch_plan =
+          cache.GetOrCompile(*grown, nullptr, exec::RunSort::kDefer);
+      ASSERT_TRUE(batch_plan.ok());
+      EXPECT_TRUE((*batch_plan)->runs_deferred());
+      last_batch = *batch_plan;
+      run_less = std::move(ext_less);
+      with_runs = std::move(ext_runs);
+    }
+    // ...and the first single query upgrades it, once.
+    auto grown = binder.Bind(shape);
+    ASSERT_TRUE(grown.ok());
+    auto single = cache.GetOrCompile(*grown);
+    auto again = cache.GetOrCompile(*grown);
+    ASSERT_TRUE(single.ok() && again.ok());
+    EXPECT_EQ(single->get(), again->get());
+    auto fresh = ScanPlan::Compile(*grown);
+    ASSERT_TRUE(fresh.ok());
+    ExpectSamePlan(*fresh, **single, "cache upgrade");
+    auto batch_plan =
+        cache.GetOrCompile(*grown, nullptr, exec::RunSort::kDefer);
+    ASSERT_TRUE(batch_plan.ok());
+    EXPECT_EQ(batch_plan->get(), single->get());
+    EXPECT_EQ((*single)->weights().data(), last_batch->weights().data());
+    for (size_t i = 0; i < fresh->dims.size(); ++i) {
+      EXPECT_EQ((*single)->dims[i].fk.get(), last_batch->dims[i].fk.get());
+    }
+    const exec::PlanCache::Stats stats = cache.GetStats();
+    EXPECT_EQ(stats.misses, 1u);
+    EXPECT_EQ(stats.extends, 3u);
+    EXPECT_EQ(stats.run_upgrades, 1u);
+    EXPECT_EQ(stats.invalidations, 0u);
   }
 }
 

@@ -1,7 +1,8 @@
 // PlanCache + ScanPlan behavior: cached-plan execution equals fresh-build
 // execution bit-for-bit, invalidation fires when a table grows, equivalent
 // query spellings share one plan, plans of different signatures share their
-// scaffold components (and the byte budget counts each component once), the
+// scaffold components (and the byte budget counts each component once),
+// batch lookups keep plans run-less until a single query upgrades them, the
 // cache is safe under concurrent use (run under TSan via the build-tsan / CI
 // TSan configuration), and the plan path never changes Predicate Mechanism
 // noise semantics.
@@ -403,8 +404,14 @@ TEST(PlanCacheTest, ConcurrentSharedCacheIsSafe) {
       for (int i = 0; i < 50; ++i) {
         if (t == 0 && i % 16 == 7) cache->Clear();  // exercise the clear race
         const size_t k = static_cast<size_t>(t + i) % bound.size();
-        auto plan = cache->GetOrCompile(bound[k]);
-        if (!plan.ok()) {
+        // Odd threads look up like batches (any plan; misses compile
+        // run-less), even threads like single queries, which must always
+        // get a plan carrying its runs — upgrading racing run-less entries.
+        const exec::RunSort runs =
+            t % 2 == 1 ? exec::RunSort::kDefer : exec::RunSort::kBuild;
+        auto plan = cache->GetOrCompile(bound[k], nullptr, runs);
+        if (!plan.ok() ||
+            (runs == exec::RunSort::kBuild && (*plan)->runs_deferred())) {
           ++failures;
           continue;
         }
@@ -464,6 +471,16 @@ TEST(PlanCacheTest, SignaturesOverOneDimensionShareItsComponents) {
   EXPECT_NE(standalone->dims[c2].fk.get(), cust.dims[c2].fk.get());
   EXPECT_EQ(standalone->fact_dim_row(c2), cust.fact_dim_row(c2));
   EXPECT_EQ(standalone->weights(), cust.weights());
+}
+
+// The derived group code of every fact row, in row order (empty when the
+// plan is ungrouped).
+std::vector<uint64_t> DerivedCodes(const ScanPlan& plan) {
+  std::vector<uint64_t> codes;
+  if (!plan.grouped) return codes;
+  const exec::RowCodes code_of(plan);
+  for (int64_t r = 0; r < plan.fact_rows(); ++r) codes.push_back(code_of(r));
+  return codes;
 }
 
 // Σ OwnBytes over `plans` + every distinct component among them once.
@@ -648,7 +665,8 @@ TEST(PlanCacheTest, AssembledPlansAnswerLikeStandaloneCompilesOnSsbShapes) {
       const ScanPlan& a = **assembled;
       const ScanPlan& b = *standalone;
       ASSERT_FALSE(a.requires_scalar());
-      EXPECT_EQ(a.codes(), b.codes());
+      EXPECT_EQ(DerivedCodes(a), DerivedCodes(b));
+      EXPECT_EQ(a.has_sorted_runs, b.has_sorted_runs);
       EXPECT_EQ(a.weights(), b.weights());
       EXPECT_EQ(a.run_offsets(), b.run_offsets());
       EXPECT_EQ(a.sorted_weights(), b.sorted_weights());
@@ -671,6 +689,138 @@ TEST(PlanCacheTest, AssembledPlansAnswerLikeStandaloneCompilesOnSsbShapes) {
   const PlanCache::Stats stats = cache.GetStats();
   EXPECT_GT(stats.evictions, 0u);
   EXPECT_GT(stats.components_reused, stats.components_built);
+}
+
+// True when `c` is one of the components a batch plan keeps: FK rows,
+// weights, group ordinals or predicate ordinal tables.
+bool IsBatchComponent(const exec::ScaffoldComponent* c) {
+  return dynamic_cast<const exec::FkRowsComponent*>(c) != nullptr ||
+         dynamic_cast<const exec::WeightsComponent*>(c) != nullptr ||
+         dynamic_cast<const exec::GroupOrdinals*>(c) != nullptr ||
+         dynamic_cast<const exec::OrdinalTable*>(c) != nullptr;
+}
+
+TEST(PlanCacheTest, BatchSignatureStaysRunLessUntilASingleQueryUpgradesIt) {
+  ssb::SsbOptions ssb_opts;
+  ssb_opts.scale_factor = 0.005;
+  auto catalog = ssb::GenerateSsb(ssb_opts);
+  ASSERT_TRUE(catalog.ok()) << catalog.status().ToString();
+  query::Binder binder(&*catalog);
+  exec::ExecutorOptions one;
+  one.exec_threads = 1;
+  exec::ExecutorOptions many;
+  many.exec_threads = 4;
+  many.morsel_size = 1024;
+  const StarJoinExecutor executors[] = {StarJoinExecutor(one),
+                                        StarJoinExecutor(many)};
+
+  int grouped_shapes = 0;
+  for (const std::string& sql : SsbShapes()) {
+    SCOPED_TRACE(sql);
+    auto bound = binder.BindSql(sql);
+    ASSERT_TRUE(bound.ok()) << bound.status().ToString();
+    if (bound->group_key_layout.empty()) continue;
+    ++grouped_shapes;
+    PlanCache cache(4);
+
+    // A batch-only signature: no run components, and the cache's bytes are
+    // exactly the plan's FK, weight and ordinal data.
+    auto batch = cache.GetOrCompile(*bound, nullptr, exec::RunSort::kDefer);
+    ASSERT_TRUE(batch.ok()) << batch.status().ToString();
+    const ScanPlan& run_less = **batch;
+    ASSERT_TRUE(run_less.runs_deferred());
+    EXPECT_FALSE(run_less.has_sorted_runs);
+    EXPECT_TRUE(run_less.run_offsets().empty());
+    EXPECT_TRUE(run_less.group_labels().empty());
+    EXPECT_TRUE(run_less.sorted_weights().empty());
+    size_t batch_bytes = run_less.OwnBytes();
+    for (const exec::ScaffoldComponent* c : run_less.Components()) {
+      EXPECT_TRUE(IsBatchComponent(c));
+      batch_bytes += c->ApproxBytes();
+    }
+    EXPECT_EQ(cache.bytes(), batch_bytes);
+    auto batch_again =
+        cache.GetOrCompile(*bound, nullptr, exec::RunSort::kDefer);
+    ASSERT_TRUE(batch_again.ok());
+    EXPECT_EQ(batch_again->get(), batch->get());
+
+    // The first single query upgrades it, once: the batch plan's FK, weight
+    // and ordinal components are kept by pointer, and the entry's bytes are
+    // re-accounted with the runs.
+    auto single = cache.GetOrCompile(*bound);
+    ASSERT_TRUE(single.ok()) << single.status().ToString();
+    const ScanPlan& upgraded = **single;
+    EXPECT_NE(&upgraded, &run_less);
+    EXPECT_TRUE(upgraded.has_sorted_runs);
+    EXPECT_FALSE(upgraded.runs_deferred());
+    EXPECT_EQ(upgraded.weights().data(), run_less.weights().data());
+    ASSERT_EQ(upgraded.dims.size(), run_less.dims.size());
+    for (size_t i = 0; i < upgraded.dims.size(); ++i) {
+      EXPECT_EQ(upgraded.dims[i].fk.get(), run_less.dims[i].fk.get());
+      EXPECT_EQ(upgraded.dims[i].group.get(), run_less.dims[i].group.get());
+      EXPECT_EQ(upgraded.dims[i].ordinal_tables,
+                run_less.dims[i].ordinal_tables);
+    }
+    EXPECT_EQ(cache.size(), 1u);
+    EXPECT_EQ(cache.bytes(), UniqueBytes({&upgraded}));
+    EXPECT_GT(cache.bytes(), batch_bytes);
+    auto single_again = cache.GetOrCompile(*bound);
+    auto batch_after = cache.GetOrCompile(*bound, nullptr, exec::RunSort::kDefer);
+    ASSERT_TRUE(single_again.ok() && batch_after.ok());
+    EXPECT_EQ(single_again->get(), &upgraded);
+    EXPECT_EQ(batch_after->get(), &upgraded);  // any plan serves a batch
+    const PlanCache::Stats stats = cache.GetStats();
+    EXPECT_EQ(stats.misses, 1u);
+    EXPECT_EQ(stats.run_upgrades, 1u);
+    EXPECT_EQ(stats.hits, 4u);
+    EXPECT_EQ(stats.invalidations, 0u);
+
+    // The upgraded plan is a standalone compile, array for array and answer
+    // for answer.
+    auto standalone = ScanPlan::Compile(*bound);
+    ASSERT_TRUE(standalone.ok());
+    EXPECT_EQ(DerivedCodes(upgraded), DerivedCodes(*standalone));
+    EXPECT_EQ(DerivedCodes(run_less), DerivedCodes(*standalone));
+    EXPECT_EQ(upgraded.run_offsets(), standalone->run_offsets());
+    EXPECT_EQ(upgraded.sorted_weights(), standalone->sorted_weights());
+    EXPECT_EQ(upgraded.group_labels(), standalone->group_labels());
+    EXPECT_EQ(upgraded.label_of_code(), standalone->label_of_code());
+    for (size_t i = 0; i < upgraded.dims.size(); ++i) {
+      EXPECT_EQ(upgraded.sorted_dim_row(i), standalone->sorted_dim_row(i));
+    }
+    for (const StarJoinExecutor& executor : executors) {
+      const PredicateOverrides none(bound->dims.size());
+      auto via_upgraded = executor.Execute(*bound, none, upgraded);
+      auto via_standalone = executor.Execute(*bound, none, *standalone);
+      ASSERT_TRUE(via_upgraded.ok() && via_standalone.ok());
+      ExpectBitIdentical(*via_standalone, *via_upgraded);
+    }
+  }
+  EXPECT_GT(grouped_shapes, 0);
+}
+
+TEST(PlanCacheTest, MechanismBatchesCompileRunLessAndSingleAnswersUpgrade) {
+  storage::Catalog catalog = MakeToyCatalog();
+  query::Binder binder(&catalog);
+  auto bound = binder.Bind(ToyGroupedQuery());
+  ASSERT_TRUE(bound.ok());
+  auto cache = std::make_shared<PlanCache>();
+  core::PredicateMechanism pm({}, {}, cache);
+  Rng rng(5);
+  auto batch = pm.AnswerBatch({{&*bound, 0.5}, {&*bound, 0.7}}, &rng);
+  ASSERT_EQ(batch.size(), 2u);
+  ASSERT_TRUE(batch[0].ok() && batch[1].ok());
+  EXPECT_EQ(cache->GetStats().misses, 1u);
+  EXPECT_EQ(cache->GetStats().run_upgrades, 0u);
+  EXPECT_LT(cache->bytes(), [&] {
+    auto with_runs = ScanPlan::Compile(*bound);
+    return UniqueBytes({&*with_runs});
+  }());
+
+  auto single = pm.Answer(*bound, 0.5, &rng);
+  ASSERT_TRUE(single.ok()) << single.status().ToString();
+  EXPECT_EQ(cache->GetStats().run_upgrades, 1u);
+  EXPECT_EQ(cache->GetStats().misses, 1u);
 }
 
 TEST(PlanCacheTest, PlanPathDoesNotChangePmNoiseSemantics) {

@@ -14,9 +14,11 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <memory>
 #include <mutex>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/string_util.h"
@@ -306,6 +308,91 @@ TEST_F(TelemetryTest, StatsAndMetricsAgree) {
   EXPECT_EQ(submitted->Value(), in_process.submitted);
   EXPECT_EQ(in_process.submitted, 5u);
   EXPECT_EQ(in_process.completed, 5u);
+  server.Stop();
+}
+
+// The plan cache's run-upgrade count is mirrored into /metrics at scrape
+// time. Scrapes run on several handler threads at once while upgrades land;
+// each must publish the stat as it is, never a count that concurrent
+// scrapes pushed past it (which would also wrap on the next scrape).
+TEST_F(TelemetryTest, RunUpgradeCountHoldsUnderConcurrentScrapes) {
+  auto metrics = std::make_shared<obs::MetricsRegistry>();
+  service::ServiceOptions service_options;
+  service_options.num_engines = 1;
+  service_options.default_tenant_budget = 100.0;
+  service_options.metrics = metrics;
+  service::QueryService service(&catalog_, service_options);
+
+  ServerOptions server_options;
+  server_options.metrics = metrics.get();
+  HttpServer server(MakeServiceRouter(&service), server_options);
+  ASSERT_TRUE(server.Start().ok());
+  Client client("127.0.0.1", server.port());
+
+  std::atomic<bool> stop{false};
+  std::atomic<int> failed_scrapes{0};
+  std::vector<std::thread> scrapers;
+  for (int t = 0; t < 4; ++t) {
+    scrapers.emplace_back([&] {
+      Client own("127.0.0.1", server.port());
+      while (!stop.load()) {
+        auto scrape = own.Get("/metrics");
+        if (!scrape.ok() || scrape->status != 200) ++failed_scrapes;
+      }
+    });
+  }
+
+  // Each signature is compiled without runs by a batch, then upgraded by a
+  // single query. A failed assertion returns from the lambda only, so the
+  // scrapers are always joined.
+  uint64_t upgrades = 0;
+  auto upgrade = [&](const char* group, const char* measure, bool on_tier) {
+    auto sql = [&](int bound) {
+      const std::string pred =
+          on_tier ? Format("Cust.tier <= %d", bound)
+                  : Format("Prod.cat <= '%c'", "abcd"[bound - 1]);
+      return Format("SELECT %s, %s FROM Orders, Cust, Prod "
+                    "WHERE Orders.ck = Cust.ck AND Orders.pk = Prod.pk "
+                    "AND %s GROUP BY %s",
+                    measure, group, pred.c_str(), group);
+    };
+    Json batch = Json::Object();
+    batch.Set("tenant", Json::Str("scrape"));
+    Json queries = Json::Array();
+    for (int bound : {2, 3}) {
+      Json q = Json::Object();
+      q.Set("sql", Json::Str(sql(bound)));
+      q.Set("epsilon", Json::Number(0.05));
+      queries.Append(std::move(q));
+    }
+    batch.Set("queries", std::move(queries));
+    auto batch_resp = client.Post("/v1/workload", batch.Dump());
+    ASSERT_TRUE(batch_resp.ok());
+    ASSERT_EQ(batch_resp->status, 200) << batch_resp->body;
+    auto single = client.Post("/v1/query", QueryBody(sql(4), 0.05, "scrape"));
+    ASSERT_TRUE(single.ok());
+    ASSERT_EQ(single->status, 200) << single->body;
+    ++upgrades;
+    ASSERT_EQ(service.Stats().plan_cache.run_upgrades, upgrades);
+  };
+  for (const char* group : {"Cust.region", "Cust.tier", "Prod.cat"}) {
+    for (const char* measure : {"sum(Orders.qty)", "count(*)"}) {
+      for (bool on_tier : {true, false}) {
+        if (!HasFatalFailure()) upgrade(group, measure, on_tier);
+      }
+    }
+  }
+  stop = true;
+  for (auto& th : scrapers) th.join();
+  EXPECT_EQ(failed_scrapes.load(), 0);
+  const std::string expected =
+      Format("\ndpstarj_plan_run_upgrades_total %llu\n",
+             static_cast<unsigned long long>(upgrades));
+  for (int i = 0; i < 2; ++i) {  // the second scrape would show a wrap
+    auto last = client.Get("/metrics");
+    ASSERT_TRUE(last.ok());
+    EXPECT_NE(last->body.find(expected), std::string::npos) << expected;
+  }
   server.Stop();
 }
 

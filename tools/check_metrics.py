@@ -76,6 +76,7 @@ REQUIRED = [
     "dpstarj_plan_components_built",
     "dpstarj_plan_components_reused",
     "dpstarj_plan_component_bytes",
+    "dpstarj_plan_run_upgrades_total",
 ]
 
 
